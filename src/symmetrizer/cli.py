@@ -226,11 +226,13 @@ def _specs_from_jsonl(lines: Iterable[str]) -> Iterable[GeneratorSpec]:
             raise GeneratorError(f"line {lineno}: bad JSON ({exc})") from None
         if not isinstance(payload, dict) or "kind" not in payload:
             raise GeneratorError(f"line {lineno}: expected an object with a 'kind'")
-        nilpotent = None
-        if "matrix" in payload:
-            nilpotent = _parse_matrix_arg(payload["matrix"], int(payload["nvars"]))
         try:
-            yield GeneratorSpec(
+            nilpotent = None
+            if "matrix" in payload:
+                if not isinstance(payload["matrix"], str):
+                    raise TypeError("'matrix' must be a string")
+                nilpotent = _parse_matrix_arg(payload["matrix"], int(payload["nvars"]))
+            spec = GeneratorSpec(
                 kind=payload["kind"],
                 nvars=int(payload["nvars"]),
                 degree=int(payload["degree"]),
@@ -239,8 +241,9 @@ def _specs_from_jsonl(lines: Iterable[str]) -> Iterable[GeneratorSpec]:
                 blocks=tuple(payload["blocks"]) if "blocks" in payload else None,
                 nilpotent=nilpotent,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise GeneratorError(f"line {lineno}: {exc}") from None
+        yield spec
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -254,6 +257,16 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symmetrizer",
@@ -265,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nvars", type=int, default=None, help="variable count override")
         p.add_argument("--seed", type=int, default=0, help="seed for all sampling")
         p.add_argument(
-            "--samples", type=int, default=8, help="sampled symmetrizers per check"
+            "--samples", type=_positive_int, default=8,
+            help="sampled symmetrizers per check (at least 1)",
         )
         p.add_argument(
             "--assume-finite-singularities",

@@ -3,19 +3,30 @@
 Everything here is a pure function of immutable inputs: matrices are
 frozen row tuples of Fraction, echelon reduction scans for the first
 nonzero pivot top to bottom (exact arithmetic needs no magnitude
-pivoting), and all outputs are deterministic. Coefficient growth is
-accepted; inputs are desk-scale.
+pivoting), and all outputs are deterministic.
+
+Inputs and outputs are Fraction, but the two hot kernels run on Python
+ints. `rref` scales each row to integers by the lcm of its denominators
+and eliminates fraction-free, dividing every updated row by its gcd; it
+divides by the pivots only when it builds its output. By Cramer's rule
+every row at every step is a rational multiple of a vector of minors of
+the scaled input; being primitive, it is that vector divided by its gcd.
+So no intermediate entry exceeds the largest minor of order at most
+rank+1, the bound Bareiss's elimination also obeys. `Matrix.__mul__`
+scales each row of the left factor and each column of the right factor
+to integers and builds one Fraction per entry from an integer dot
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .polys import Poly, squarefree_part
-
-QQ = Fraction
 
 Vec = tuple[Fraction, ...]
 
@@ -35,12 +46,17 @@ def vec_is_zero(v: Vec) -> bool:
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
-def vec_scale(c, v: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in v)
+def _integer_row(v: Sequence) -> tuple[int, list[int]]:
+    """(den, ints) with v == ints / den, den the lcm of v's denominators."""
+    den = lcm(*[e.denominator for e in v])
+    return den, [e.numerator * (den // e.denominator) for e in v]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (unchanged when zero)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 @dataclass(frozen=True)
@@ -129,11 +145,12 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = other.transpose().rows
+            cols = [_integer_row(col) for col in other.transpose().rows]
+            rows = [_integer_row(row) for row in self.rows]
             return Matrix(
                 tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                    for row in self.rows
+                    tuple(Fraction(sum(map(mul, a, b)), da * db) for db, b in cols)
+                    for da, a in rows
                 ),
                 other.ncols,
             )
@@ -192,32 +209,56 @@ class Matrix:
         ) + "]"
 
 
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """a*row - b*prow with the smallest integers a, b that zero column c."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    return [a * x - b * y for x, y in zip(row, prow)]
+
+
+def _echelon(
+    vectors: Sequence[Sequence], ncols: int
+) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan on the vectors scaled to integer rows.
+
+    Returns (rows, pivots): row r has its pivot in column pivots[r] and
+    zeros in every other pivot column; rows past the rank are zero. Each
+    row is divided by its gcd after every update, so it stays primitive.
+    """
+    rows = [_primitive(_integer_row(v)[1]) for v in vectors]
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                rows[i] = _primitive(_eliminate(rows[i], prow, c))
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form with pivot columns and rank.
 
     Pivot choice: first row with a nonzero entry in the current column,
     scanning top to bottom. Output is canonical for the row space.
     """
-    rows = [list(r) for r in M.rows]
-    nrows, ncols = len(rows), M.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(tuple(tuple(row) for row in rows), ncols), tuple(pivots), r
+    rows, pivots = _echelon(M.rows, M.ncols)
+    zero = Fraction(0)
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append(tuple(Fraction(x, p) if x else zero for x in row))
+    out += [(zero,) * M.ncols] * (len(rows) - len(pivots))
+    return Matrix(tuple(out), M.ncols), pivots, len(pivots)
 
 
 def nullspace(M: Matrix) -> list[Vec]:
@@ -269,8 +310,14 @@ def span_contains(vectors: Sequence[Vec], v: Vec) -> bool:
         return True
     if not vectors:
         return False
-    base = Matrix.from_rows(vectors).rank()
-    return Matrix.from_rows(list(vectors) + [list(v)]).rank() == base
+    if any(len(u) != len(v) for u in vectors):
+        raise ValueError("ragged rows")
+    rows, pivots = _echelon(vectors, len(v))
+    _, w = _integer_row(v)
+    for row, c in zip(rows, pivots):
+        if w[c]:
+            w = _eliminate(w, row, c)
+    return not any(w)
 
 
 def span_equal(a: Sequence[Vec], b: Sequence[Vec], width: int | None = None) -> bool:
@@ -338,11 +385,11 @@ def jordan_chevalley(A: Matrix) -> tuple[Matrix, Matrix]:
     dP = P.derivative()
     S = A
     budget = (n - 1).bit_length() + 1
-    while not poly_at_matrix(P, S).is_zero:
+    while not (PS := poly_at_matrix(P, S)).is_zero:
         if budget == 0:
             raise InvariantError("semisimple-part iteration failed to converge")
         budget -= 1
-        S = S - poly_at_matrix(P, S) * poly_at_matrix(dP, S).inverse()
+        S = S - PS * poly_at_matrix(dP, S).inverse()
     N = A - S
     if S * N != N * S or S * A != A * S:
         raise InvariantError("split parts stopped commuting")

@@ -228,6 +228,25 @@ class TestCensus:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "random", "nvars": "abc", "degree": 3, "seed": 1},
+            {"kind": "random", "nvars": 3, "degree": 3, "seed": "x"},
+            {"kind": "prescribed_nilpotent", "nvars": "abc", "degree": 3,
+             "matrix": "0,0;1,0"},
+            {"kind": "prescribed_nilpotent", "nvars": 2, "degree": 3, "matrix": 5},
+        ],
+    )
+    def test_bad_numeric_field_aborts_with_exit_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "specs.jsonl"
+        path.write_text(self.spec_lines([0])[0] + "\n" + json.dumps(bad) + "\n")
+        code, out, err = run(capsys, "census", str(path))
+        assert code == 2
+        assert err.startswith("input error: line 2:")
+        # rows before the bad line were already written
+        assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "census", str(tmp_path / "absent.jsonl"))
         assert code == 2
@@ -239,3 +258,13 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_is_an_argparse_error(self, capsys, command, samples):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "x0^3+x1^3+x2^3", "--samples", samples])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err

@@ -28,6 +28,103 @@ def M(*rows) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+# Reference oracles: plain Fraction Gauss-Jordan and the naive product,
+# which the integer kernels in linalg must match exactly.
+
+
+def oracle_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
+    """Gauss-Jordan on Fractions with the same pivot rule as rref."""
+    rows = [[Q(e) for e in r] for r in A.rows]
+    pivots, r = [], 0
+    for c in range(A.ncols):
+        if r == len(rows):
+            break
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(tuple(tuple(row) for row in rows), A.ncols), tuple(pivots), r
+
+
+def oracle_product(A: Matrix, B: Matrix) -> Matrix:
+    """The naive triple loop on Fractions."""
+    return Matrix(
+        tuple(
+            tuple(
+                sum((Q(A.rows[i][k]) * B.rows[k][j] for k in range(A.ncols)), Q(0))
+                for j in range(B.ncols)
+            )
+            for i in range(A.nrows)
+        ),
+        B.ncols,
+    )
+
+
+def oracle_nullspace(A: Matrix) -> list[tuple]:
+    red, pivots, _ = oracle_rref(A)
+    basis = []
+    for free in (c for c in range(A.ncols) if c not in pivots):
+        v = [Q(0)] * A.ncols
+        v[free] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red.rows[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(A: Matrix, b: tuple) -> tuple | None:
+    aug = Matrix(tuple(tuple(row) + (b[i],) for i, row in enumerate(A.rows)), A.ncols + 1)
+    red, pivots, _ = oracle_rref(aug)
+    if A.ncols in pivots:
+        return None
+    x = [Q(0)] * A.ncols
+    for r, p in enumerate(pivots):
+        x[p] = red.rows[r][A.ncols]
+    return tuple(x)
+
+
+def oracle_span_contains(vectors, v) -> bool:
+    if all(e == 0 for e in v):
+        return True
+    rank = lambda rows: oracle_rref(Matrix(tuple(rows), len(v)))[2]
+    return rank(list(vectors) + [v]) == rank(vectors)
+
+
+# Large coprime denominators make the row lcms, and so the integer rows,
+# wide; zero weighs in heavily so zero rows and sparse pivots occur.
+DENOMINATORS = [1, 1, 2, 3, 7, 97, 65537, 1000003, 2**31 - 1, 2**61 - 1]
+rationals = st.one_of(
+    st.just(0),
+    st.builds(Q, st.integers(-50, 50), st.sampled_from(DENOMINATORS)),
+)
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """Wide, tall and empty shapes; zero rows; built either through
+    from_rows or directly from mixed int/Fraction tuples."""
+    n = draw(st.integers(0, 6)) if nrows is None else nrows
+    m = draw(st.integers(0, 6)) if ncols is None else ncols
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append([0] * m)
+        else:
+            rows.append([draw(rationals) for _ in range(m)])
+    if draw(st.booleans()):
+        return Matrix.from_rows(rows, m)
+    raw = tuple(tuple(int(e) if Q(e).denominator == 1 else e for e in r) for r in rows)
+    return Matrix(raw, m)
+
+
 @st.composite
 def matrices(draw, nmin=1, nmax=4, square=True):
     n = draw(st.integers(nmin, nmax))
@@ -166,3 +263,46 @@ class TestNilpotency:
         assert nilpotency_index(M([0, 0], [1, 0])) == 2
         assert nilpotency_index(M([0, 0, 0], [1, 0, 0], [0, 1, 0])) == 3
         assert nilpotency_index(Matrix.identity(2)) is None
+
+
+class TestIntegerKernelsMatchOracles:
+    @given(rational_matrices())
+    @settings(deadline=None, max_examples=300)
+    def test_rref(self, A):
+        assert rref(A) == oracle_rref(A)
+
+    @given(rational_matrices())
+    @settings(deadline=None, max_examples=150)
+    def test_nullspace(self, A):
+        assert nullspace(A) == oracle_nullspace(A)
+
+    @given(rational_matrices(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_solve(self, A, data):
+        b = tuple(data.draw(rationals) for _ in range(A.nrows))
+        assert solve(A, b) == oracle_solve(A, b)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_span_contains(self, data):
+        width = data.draw(st.integers(1, 6))
+        vectors = data.draw(rational_matrices(ncols=width)).rows
+        combo = [data.draw(st.integers(-3, 3)) for _ in vectors]
+        in_span = tuple(
+            sum((c * Q(u[j]) for c, u in zip(combo, vectors)), Q(0)) for j in range(width)
+        )
+        for v in (in_span, data.draw(rational_matrices(nrows=1, ncols=width)).rows[0]):
+            assert span_contains(vectors, v) == oracle_span_contains(vectors, v)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_product(self, data):
+        n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+        A = data.draw(rational_matrices(nrows=n, ncols=k))
+        B = data.draw(rational_matrices(nrows=k, ncols=m))
+        assert A * B == oracle_product(A, B)
+
+    def test_negative_pivot_and_coprime_denominators(self):
+        A = M([Q(-3, 65537), Q(1, 7), 0], [Q(2, 1000003), Q(-5, 97), Q(1, 2)])
+        assert rref(A) == oracle_rref(A)
+        assert A * A.transpose() == oracle_product(A, A.transpose())
