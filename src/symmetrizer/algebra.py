@@ -12,9 +12,9 @@ failing check is an engine bug, never a property of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Iterator, Sequence
 
 from .forms import (
@@ -23,15 +23,14 @@ from .forms import (
     ProjectivePoint,
     SymForm,
     alpha_factorial,
-    basis_vector,
     compose_linear,
     enumerate_monomials,
     grassmann_point,
     is_nondegenerate,
     jacobian_kernel,
     jacobian_matrix,
-    monomial_count,
     monomial_slots,
+    pairings_vanish,
     symmetry_violation,
     twist,
     vanishing_order,
@@ -41,6 +40,7 @@ from .linalg import (
     Matrix,
     Vec,
     coordinates_in_span,
+    integer_row,
     jordan_chevalley,
     minimal_polynomial,
     nilpotency_index,
@@ -73,29 +73,21 @@ def constraint_matrix(F: SymForm) -> Matrix:
     i.e. the slot-1/slot-2 swap symmetry of F(g·v1, v2, ...). Since F is
     already symmetric in slots 2..d, this single swap is equivalent to
     symmetry under every permutation, so the nullspace is exactly g_F.
-    The unknown g[k][i] sits at flat index k*n + i.
+    The unknown g[k][i] sits at flat index k*n + i, so the row is row j
+    of the Hessian slice H_beta at stride n from i, minus row i from j.
     """
-    n, d = F.nvars, F.degree
-    betas = enumerate_monomials(n, d - 2)
-    values = {}
-
-    def pair_value(k: int, j: int, beta) -> Fraction:
-        key = (min(k, j), max(k, j), beta)
-        if key not in values:
-            slots = (key[0], key[1]) + monomial_slots(beta)
-            values[key] = F.value_on_basis(slots)
-        return values[key]
-
+    n = F.nvars
+    den, slices = F.hessian_slices
+    zero = Fraction(0)
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            for beta in betas:
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    row[k * n + i] += pair_value(k, j, beta)
-                    row[k * n + j] -= pair_value(k, i, beta)
-                rows.append(row)
-    return Matrix.from_rows(rows, n * n)
+            for H in slices:
+                row = [zero] * (n * n)
+                row[i::n] = [Fraction(x, den) for x in H[j]]
+                row[j::n] = [Fraction(-x, den) for x in H[i]]
+                rows.append(tuple(row))
+    return Matrix(tuple(rows), n * n)
 
 
 @dataclass(frozen=True)
@@ -209,10 +201,11 @@ def algebra_closure_check(A: SymmetrizerAlgebra) -> ClosureReport:
         for j in range(i, len(A.basis)):
             gj = A.basis[j]
             prod = gi * gj
-            in_span = span_contains(flats, prod.flatten()) and span_contains(
-                flats, (gj * gi).flatten()
+            rev = prod if i == j else gj * gi
+            in_span = span_contains(flats, prod.flatten()) and (
+                rev == prod or span_contains(flats, rev.flatten())
             )
-            commutes = (prod == gj * gi) if check_comm else None
+            commutes = (prod == rev) if check_comm else None
             pairs.append(PairCheck(i, j, in_span, commutes))
     return ClosureReport(tuple(pairs))
 
@@ -224,16 +217,9 @@ def kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
     witness = symmetry_violation(F, h)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
-    n, d = F.nvars, F.degree
+    n = F.nvars
     image = row_space_basis([h.column(j) for j in range(n)], width=n)
-    kernel = nullspace(h)
-    for u in image:
-        for w in kernel:
-            for beta in enumerate_monomials(n, d - 2):
-                rest = [basis_vector(n, t) for t in monomial_slots(beta)]
-                if F.evaluate(u, w, *rest) != 0:
-                    return False
-    return True
+    return pairings_vanish(F, image, nullspace(h))
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +281,9 @@ def _integer_scaled(g: Matrix) -> Matrix:
     Scaling never changes the kernels of the irreducible factors, but it
     keeps the minimal polynomial monic integer, which is the cheap case
     for factorization."""
-    flat = g.flatten()
-    denom = lcm(*(x.denominator for x in flat))
-    nums = [int(x * denom) for x in flat]
-    common = 0
-    for v in nums:
-        common = gcd(common, abs(v))
-    if common > 1:
-        nums = [v // common for v in nums]
-    return Matrix.from_flat(g.nrows, nums)
+    nums = integer_row(g.flatten())[1]
+    common = gcd(*nums) or 1
+    return Matrix.from_flat(g.nrows, [v // common for v in nums])
 
 
 def _splitting_candidates(
@@ -585,10 +565,15 @@ class FiberInvarianceReport:
         return self.algebra_match and self.kernel_match and self.grassmann_match is not False
 
 
-def fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceReport:
+def fiber_invariance_check(
+    F: SymForm, g: Matrix, algebra: SymmetrizerAlgebra | None = None
+) -> FiberInvarianceReport:
     """Check that twisting by an invertible symmetrizer g preserves the
     symmetrizer algebra, transports Ker(∂F) by g^{-1}, and fixes the
-    Jacobian image (the last only when defined)."""
+    Jacobian image (the last only when defined).
+
+    `algebra` is g_F when the caller has it; for F^g only the null space
+    of its constraint system is computed, with no semisimple split."""
     witness = symmetry_violation(F, g)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
@@ -597,19 +582,16 @@ def fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceReport:
         raise ValueError("twisting element must be invertible")
     Fg = twist(F, g, check=False)
 
-    span_F = [b.flatten() for b in symmetrizer_algebra(F).basis]
-    span_Fg = [b.flatten() for b in symmetrizer_algebra(Fg).basis]
-    algebra_match = span_equal(span_F, span_Fg, width=n * n)
+    A = algebra if algebra is not None else symmetrizer_algebra(F)
+    span_Fg = nullspace(constraint_matrix(Fg))
+    algebra_match = span_equal(A.flat_basis(), span_Fg, width=n * n)
 
+    kernel_F = jacobian_kernel(F)
     ginv = g.inverse()
-    transported = [ginv.apply(v) for v in jacobian_kernel(F)]
+    transported = [ginv.apply(v) for v in kernel_F]
     kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
 
-    grassmann_match: bool | None
-    if is_nondegenerate(F):
-        grassmann_match = grassmann_point(F) == grassmann_point(Fg)
-    else:
-        grassmann_match = None
+    grassmann_match = None if kernel_F else grassmann_point(F) == grassmann_point(Fg)
     return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
 
 
@@ -725,7 +707,7 @@ def check_identities(
 
     fiber_bad = []
     for i, g in enumerate(gs[: min(len(gs), 5)]):
-        if not fiber_invariance_check(F, g).ok:
+        if not fiber_invariance_check(F, g, algebra=A).ok:
             fiber_bad.append(i)
     out["fiber_invariance"] = _passfail(not fiber_bad, f"failed at samples {fiber_bad}")
 
@@ -739,27 +721,21 @@ def check_identities(
             "skip", "degenerate form: transport undefined"
         )
 
+    dec = None
     if not nondeg:
-        skip = CheckResult("skip", "degenerate form")
-        out["block_decomposition"] = skip
-        out["block_algebra_sum"] = skip
+        reason = "degenerate form"
     elif A.dim_torus == 0:
-        skip = CheckResult("skip", "torus is trivial: nothing splits")
-        out["block_decomposition"] = skip
-        out["block_algebra_sum"] = skip
+        reason = "torus is trivial: nothing splits"
+    elif (dec := st_decompose(F, seed=seed, algebra=A)) is None:
+        reason = (
+            "splitting elements have irreducible minimal polynomials over "
+            "the rationals; no rational block decomposition"
+        )
+    if dec is None:
+        out["block_decomposition"] = out["block_algebra_sum"] = CheckResult("skip", reason)
     else:
-        dec = st_decompose(F, seed=seed, algebra=A)
-        if dec is None:
-            skip = CheckResult(
-                "skip",
-                "splitting elements have irreducible minimal polynomials over "
-                "the rationals; no rational block decomposition",
-            )
-            out["block_decomposition"] = skip
-            out["block_algebra_sum"] = skip
-        else:
-            out["block_decomposition"] = _cross_block_check(F, dec)
-            out["block_algebra_sum"] = _block_algebra_sum_check(F, A, dec)
+        out["block_decomposition"] = _cross_block_check(F, dec)
+        out["block_algebra_sum"] = _block_algebra_sum_check(F, A, dec)
 
     if nondeg:
         rep = nilpotent_report(A)
@@ -816,20 +792,13 @@ def check_identities(
 
 
 def _cross_block_check(F: SymForm, dec: STDecomposition) -> CheckResult:
-    """Explicit cross-block vanishing: evaluate F on pairs of vectors
-    from different blocks against every degree-(d-2) basis tuple."""
-    n, d = F.nvars, F.degree
-    betas = enumerate_monomials(n, d - 2)
-    for a in range(len(dec.blocks)):
-        for b in range(a + 1, len(dec.blocks)):
-            for u in dec.blocks[a].basis:
-                for w in dec.blocks[b].basis:
-                    for beta in betas:
-                        rest = [basis_vector(n, t) for t in monomial_slots(beta)]
-                        if F.evaluate(u, w, *rest) != 0:
-                            return CheckResult(
-                                "fail", f"blocks {a},{b} have a nonzero cross value"
-                            )
+    """Explicit cross-block vanishing: B_a^T H_beta B_b = 0 for the bases
+    of every two blocks a < b and every degree-(d-2) monomial beta."""
+    blocks = dec.blocks
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            if not pairings_vanish(F, blocks[a].basis, blocks[b].basis):
+                return CheckResult("fail", f"blocks {a},{b} have a nonzero cross value")
     return CheckResult("pass", f"{dec.k} blocks")
 
 

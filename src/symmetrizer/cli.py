@@ -215,6 +215,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _integer(value, key: str) -> int:
+    """int(value) for a spec field, refusing a number with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _specs_from_jsonl(lines: Iterable[str]) -> Iterable[GeneratorSpec]:
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -227,18 +234,24 @@ def _specs_from_jsonl(lines: Iterable[str]) -> Iterable[GeneratorSpec]:
         if not isinstance(payload, dict) or "kind" not in payload:
             raise GeneratorError(f"line {lineno}: expected an object with a 'kind'")
         try:
+            nvars = _integer(payload["nvars"], "nvars")
             nilpotent = None
             if "matrix" in payload:
                 if not isinstance(payload["matrix"], str):
                     raise TypeError("'matrix' must be a string")
-                nilpotent = _parse_matrix_arg(payload["matrix"], int(payload["nvars"]))
+                nilpotent = _parse_matrix_arg(payload["matrix"], nvars)
+            blocks = None
+            if "blocks" in payload:
+                if not isinstance(payload["blocks"], list):
+                    raise TypeError("'blocks' must be a list")
+                blocks = tuple(_integer(b, "blocks") for b in payload["blocks"])
             spec = GeneratorSpec(
                 kind=payload["kind"],
-                nvars=int(payload["nvars"]),
-                degree=int(payload["degree"]),
-                seed=int(payload.get("seed", 0)),
-                coefficient_bound=int(payload.get("bound", 10)),
-                blocks=tuple(payload["blocks"]) if "blocks" in payload else None,
+                nvars=nvars,
+                degree=_integer(payload["degree"], "degree"),
+                seed=_integer(payload.get("seed", 0), "seed"),
+                coefficient_bound=_integer(payload.get("bound", 10), "bound"),
+                blocks=blocks,
                 nilpotent=nilpotent,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -21,7 +21,6 @@ from .forms import (
     enumerate_monomials,
     is_nondegenerate,
     monomial_index,
-    monomial_slots,
     symmetry_violation,
 )
 from .linalg import InvariantError, Matrix, nilpotency_index, nullspace
@@ -107,31 +106,19 @@ def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
     n, d = h.nrows, degree
     monos = enumerate_monomials(n, d)
     index = monomial_index(n, d)
-
-    def alpha_of(slots: tuple[int, ...]) -> tuple[int, ...]:
-        alpha = [0] * n
-        for s in slots:
-            alpha[s] += 1
-        return tuple(alpha)
-
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for beta in enumerate_monomials(n, d - 2):
-                tail = monomial_slots(beta)
                 row = [Fraction(0)] * len(monos)
                 for k in range(n):
-                    hki, hkj = h.entry(k, i), h.entry(k, j)
-                    if hki:
-                        alpha = alpha_of((k, j) + tail)
-                        row[index[alpha]] += hki * Fraction(
-                            alpha_factorial(alpha), factorial(d)
-                        )
-                    if hkj:
-                        alpha = alpha_of((k, i) + tail)
-                        row[index[alpha]] -= hkj * Fraction(
-                            alpha_factorial(alpha), factorial(d)
-                        )
+                    # h[k][i] F(e_k, e_j, e^beta) - h[k][j] F(e_k, e_i, e^beta)
+                    for col, other, sign in ((i, j, 1), (j, i, -1)):
+                        if h.entry(k, col):
+                            alpha = tuple(b + (t == k) + (t == other) for t, b in enumerate(beta))
+                            row[index[alpha]] += sign * h.entry(k, col) * Fraction(
+                                alpha_factorial(alpha), factorial(d)
+                            )
                 rows.append(row)
     basis = nullspace(Matrix.from_rows(rows, len(monos)))
     return [

@@ -5,6 +5,13 @@ multilinear access goes through the alpha!/d! polarization factor, so the
 polarized values are fully symmetric by construction. The canonical
 monomial order everywhere is descending lexicographic.
 
+Every symmetrizer test reads one table per form, cached on the instance:
+the Hessian slices H_beta[k][j] = F(e_k, e_j, e^beta), one per degree-(d-2)
+monomial beta, as integers over a common denominator. g is in g_F iff
+every g^T H_beta is symmetric, the constraint rows of g_F are the table's
+entries, and a pairing F(u, w, e^beta) is u^T H_beta w. The Jacobian
+matrix is cached on the form as well.
+
 Degree and variable-count constraints of the application domain (d >= 3,
 n >= 2) are enforced at the generation and parsing boundary, not here:
 contraction and Jacobian rows naturally produce lower-degree forms.
@@ -15,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Vec, nullspace, rref, vec_is_zero, vector
+from .linalg import Matrix, Vec, integer_row, nullspace, rref, vec_is_zero, vector
 
 Exponents = tuple[int, ...]
 
@@ -145,6 +153,35 @@ class SymForm:
     @cached_property
     def coeff_map(self) -> dict[Exponents, Fraction]:
         return dict(self.terms)
+
+    @cached_property
+    def hessian_slices(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """(den, slices) with slices[b][k][j] / den = F(e_k, e_j, e^beta)
+        for the b-th degree-(d-2) monomial beta in canonical order. Each
+        slice is a symmetric n×n integer matrix."""
+        n, d = self.nvars, self.degree
+        index = monomial_index(n, d - 2)
+        values = [(a, c * Fraction(alpha_factorial(a), factorial(d))) for a, c in self.terms]
+        den = lcm(*(v.denominator for _, v in values))
+        slices = [[[0] * n for _ in range(n)] for _ in index]
+        for alpha, v in values:
+            support = [i for i, e in enumerate(alpha) if e]
+            for k in support:
+                for j in support:
+                    beta = list(alpha)
+                    beta[k] -= 1
+                    beta[j] -= 1
+                    if beta[j] >= 0:  # k == j needs alpha[k] >= 2
+                        slices[index[tuple(beta)]][k][j] = v.numerator * (den // v.denominator)
+        return den, tuple(tuple(map(tuple, s)) for s in slices)
+
+    @cached_property
+    def jacobian(self) -> Matrix:
+        """Row i holds the coefficients of (1/d) ∂P/∂x_i, i.e. of the
+        contraction F(e_i, ., ..., .), in the canonical degree-(d-1) order."""
+        n = self.nvars
+        rows = [self.contract(basis_vector(n, i)).coeff_vector() for i in range(n)]
+        return Matrix.from_rows(rows, monomial_count(n, self.degree - 1))
 
     def coefficient(self, alpha: Exponents) -> Fraction:
         return self.coeff_map.get(tuple(alpha), Fraction(0))
@@ -277,10 +314,8 @@ class GrassmannPoint:
 
 
 def jacobian_matrix(F: SymForm) -> Matrix:
-    """Row i holds the coefficients of (1/d) ∂P/∂x_i, i.e. of the
-    contraction F(e_i, ., ..., .), in the canonical degree-(d-1) order."""
-    rows = [F.contract(basis_vector(F.nvars, i)).coeff_vector() for i in range(F.nvars)]
-    return Matrix.from_rows(rows, monomial_count(F.nvars, F.degree - 1))
+    """The Jacobian matrix of F, built once per form (`SymForm.jacobian`)."""
+    return F.jacobian
 
 
 def jacobian_kernel(F: SymForm) -> list[Vec]:
@@ -312,23 +347,37 @@ def symmetry_violation(
 ) -> tuple[tuple[int, int], tuple[int, ...]] | None:
     """Search for a witness that g fails to symmetrize F.
 
-    Checks F(g·e_i, e_j, e^beta) = F(g·e_j, e_i, e^beta) over all i < j and
-    all degree-(d-2) monomials beta. Symmetry of F in its last d-1 slots
-    makes this single swap equivalent to full slot-symmetry of the twist.
+    F(g·e_i, e_j, e^beta) = (g^T H_beta)[i][j], so g symmetrizes F iff
+    every g^T H_beta is symmetric; g is scaled to integers first. Pairs
+    i < j are scanned before monomials beta. Symmetry of F in its last
+    d-1 slots makes this single swap equivalent to full slot-symmetry of
+    the twist.
     """
     n, d = F.nvars, F.degree
     if g.nrows != n or g.ncols != n:
         raise ValueError("endomorphism dimension must match the form")
-    images = [g.apply(basis_vector(n, i)) for i in range(n)]
+    _, flat = integer_row(g.flatten())
+    cols = [flat[i::n] for i in range(n)]
+    slices = F.hessian_slices[1]
     for i in range(n):
         for j in range(i + 1, n):
-            for beta in enumerate_monomials(n, d - 2):
-                rest = [basis_vector(n, k) for k in monomial_slots(beta)]
-                lhs = F.evaluate(images[i], basis_vector(n, j), *rest)
-                rhs = F.evaluate(images[j], basis_vector(n, i), *rest)
-                if lhs != rhs:
+            for beta, H in zip(enumerate_monomials(n, d - 2), slices):
+                if sum(map(mul, cols[i], H[j])) != sum(map(mul, cols[j], H[i])):
                     return (0, 1), (i, j) + monomial_slots(beta)
     return None
+
+
+def pairings_vanish(F: SymForm, us: Sequence[Vec], ws: Sequence[Vec]) -> bool:
+    """True iff F(u, w, e^beta) = u^T H_beta w is 0 for every u in `us`,
+    w in `ws` and degree-(d-2) monomial beta."""
+    us = [integer_row(u)[1] for u in us]
+    for w in ws:
+        _, w = integer_row(w)
+        for H in F.hessian_slices[1]:
+            Hw = [sum(map(mul, row, w)) for row in H]
+            if any(sum(map(mul, u, Hw)) for u in us):
+                return False
+    return True
 
 
 def is_symmetrizer(F: SymForm, g: Matrix) -> bool:

@@ -47,7 +47,7 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def _integer_row(v: Sequence) -> tuple[int, list[int]]:
+def integer_row(v: Sequence) -> tuple[int, list[int]]:
     """(den, ints) with v == ints / den, den the lcm of v's denominators."""
     den = lcm(*[e.denominator for e in v])
     return den, [e.numerator * (den // e.denominator) for e in v]
@@ -145,8 +145,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = [_integer_row(col) for col in other.transpose().rows]
-            rows = [_integer_row(row) for row in self.rows]
+            cols = [integer_row(col) for col in other.transpose().rows]
+            rows = [integer_row(row) for row in self.rows]
             return Matrix(
                 tuple(
                     tuple(Fraction(sum(map(mul, a, b)), da * db) for db, b in cols)
@@ -225,7 +225,7 @@ def _echelon(
     zeros in every other pivot column; rows past the rank are zero. Each
     row is divided by its gcd after every update, so it stays primitive.
     """
-    rows = [_primitive(_integer_row(v)[1]) for v in vectors]
+    rows = [_primitive(integer_row(v)[1]) for v in vectors]
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -313,7 +313,7 @@ def span_contains(vectors: Sequence[Vec], v: Vec) -> bool:
     if any(len(u) != len(v) for u in vectors):
         raise ValueError("ragged rows")
     rows, pivots = _echelon(vectors, len(v))
-    _, w = _integer_row(v)
+    _, w = integer_row(v)
     for row, c in zip(rows, pivots):
         if w[c]:
             w = _eliminate(w, row, c)
@@ -333,11 +333,7 @@ def coordinates_in_span(basis: Sequence[Vec], v: Vec) -> Vec | None:
     """
     if not basis:
         return () if vec_is_zero(v) else None
-    cols = Matrix.from_rows(basis).transpose()
-    x = solve(cols, v)
-    if x is None:
-        return None
-    return x
+    return solve(Matrix.from_rows(basis).transpose(), v)
 
 
 def minimal_polynomial(A: Matrix) -> Poly:
@@ -359,13 +355,17 @@ def minimal_polynomial(A: Matrix) -> Poly:
 
 
 def poly_at_matrix(p: Poly, A: Matrix) -> Matrix:
-    """Evaluate p at a square matrix (Horner)."""
+    """Evaluate p at a square matrix (Horner: each step adds the
+    coefficient to the diagonal of acc·A)."""
     if not A.is_square:
         raise ValueError("polynomial of a non-square matrix")
     n = A.nrows
     acc = Matrix.zeros(n)
     for c in reversed(p.coeffs):
-        acc = acc * A + c * Matrix.identity(n)
+        rows = (acc * A).rows
+        acc = Matrix(
+            tuple(r[:i] + (r[i] + c,) + r[i + 1 :] for i, r in enumerate(rows)), n
+        )
     return acc
 
 
@@ -409,7 +409,3 @@ def nilpotency_index(A: Matrix) -> int | None:
             return ell
         power = power * A
     return None
-
-
-def is_nilpotent(A: Matrix) -> bool:
-    return nilpotency_index(A) is not None

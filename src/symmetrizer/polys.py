@@ -137,9 +137,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
-
     def derivative(self) -> "Poly":
         return Poly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
@@ -200,17 +197,11 @@ def _to_primitive_int(p: Poly) -> list[int]:
     with positive leading coefficient."""
     denom = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
     ints = [int(c * denom) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = int_gcd(content, abs(v))
+    content = int_gcd(*ints)
     ints = [v // content for v in ints]
     if ints[-1] < 0:
         ints = [-v for v in ints]
     return ints
-
-
-def _int_poly(cs: list[int]) -> Poly:
-    return Poly.from_coeffs(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +452,7 @@ def _zassenhaus_monic(f: list[int]) -> list[list[int]]:
 
     found: list[list[int]] = []
     remaining = list(range(len(lifted)))
-    current = _int_poly(f)
+    current = Poly.from_coeffs(f)
     size = 1
     while 2 * size <= len(remaining):
         progress = False
@@ -469,7 +460,7 @@ def _zassenhaus_monic(f: list[int]) -> list[list[int]]:
             g = [1]
             for i in combo:
                 g = _mp_mul(g, lifted[i], modulus)
-            cand = _int_poly([_symmetric(c, modulus) for c in g])
+            cand = Poly.from_coeffs([_symmetric(c, modulus) for c in g])
             quo, rem = divmod(current, cand)
             if rem.is_zero:
                 found.append([int(c) for c in cand.coeffs])
@@ -502,7 +493,7 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
     for g in _zassenhaus_monic(monic_ints):
         if lead != 1:
             g = [c * lead**i for i, c in enumerate(g)]
-        out.append(_int_poly(g).monic())
+        out.append(Poly.from_coeffs(g).monic())
     return sorted(out, key=lambda q: (q.degree, q.coeffs))
 
 

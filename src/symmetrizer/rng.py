@@ -36,9 +36,3 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
-
-    def nonzero_int_in(self, lo: int, hi: int) -> int:
-        while True:
-            v = self.int_in(lo, hi)
-            if v != 0:
-                return v

@@ -247,6 +247,38 @@ class TestCensus:
         # rows before the bad line were already written
         assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"kind": "random", "nvars": 3, "degree": 3, "seed": 1.7}, "'seed'"),
+            ({"kind": "random", "nvars": 2.9, "degree": 3, "seed": 1}, "'nvars'"),
+            ({"kind": "st_sum", "nvars": 3, "degree": 3, "blocks": [1.5, 1.5]},
+             "'blocks'"),
+        ],
+    )
+    def test_fractional_integer_field_aborts_with_exit_2(
+        self, capsys, tmp_path, bad, field
+    ):
+        path = tmp_path / "specs.jsonl"
+        path.write_text(self.spec_lines([0])[0] + "\n" + json.dumps(bad) + "\n")
+        code, out, err = run(capsys, "census", str(path))
+        assert code == 2
+        assert err.startswith("input error: line 2:")
+        assert field in err
+        assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
+
+    def test_integral_float_fields_still_run(self, capsys, tmp_path):
+        path = tmp_path / "specs.jsonl"
+        path.write_text(
+            json.dumps({"kind": "st_sum", "nvars": 3.0, "degree": 3, "seed": 2.0,
+                        "blocks": [1.0, 2.0]}) + "\n"
+        )
+        code, out, _ = run(capsys, "census", str(path))
+        assert code == 0
+        (row,) = [json.loads(line) for line in out.splitlines()]
+        assert (row["nvars"], row["seed"]) == (3, 2)
+        assert_no_floats(row)
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "census", str(tmp_path / "absent.jsonl"))
         assert code == 2

@@ -50,9 +50,9 @@ class TestStreamContract:
         with pytest.raises(ValueError):
             SplitMix64(0).int_in(3, 2)
 
-    def test_nonzero_skips_zero(self):
+    def test_int_in_covers_the_closed_range(self):
         r = SplitMix64(0)
-        assert all(r.nonzero_int_in(-1, 1) != 0 for _ in range(50))
+        assert {r.int_in(-1, 1) for _ in range(50)} == {-1, 0, 1}
 
 
 class TestDeterminism:

@@ -1,0 +1,334 @@
+"""The Hessian-slice evaluators against the contraction-based ones they
+replaced.
+
+`symmetry_violation`, `constraint_matrix`, `kernel_image_vanishing`, the
+cross-block check and `jacobian_matrix` read the per-form tables cached on
+`SymForm`. The oracles below are the earlier implementations, which
+derive every value from `SymForm.evaluate`/`contract` or `value_on_basis`.
+The table-based functions must agree with them exactly: the same witness
+tuple, the same booleans, the same matrix.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from symmetrizer.algebra import (
+    CheckResult,
+    FiberInvarianceReport,
+    STBlock,
+    STDecomposition,
+    _cross_block_check,
+    constraint_matrix,
+    fiber_invariance_check,
+    kernel_image_vanishing,
+    st_decompose,
+    symmetrizer_algebra,
+)
+from symmetrizer.corpus import GeneratorError, GeneratorSpec, generate
+from symmetrizer.forms import (
+    NotASymmetrizerError,
+    SymForm,
+    basis_vector,
+    compose_linear,
+    enumerate_monomials,
+    grassmann_point,
+    is_nondegenerate,
+    jacobian_kernel,
+    jacobian_matrix,
+    monomial_count,
+    monomial_slots,
+    pairings_vanish,
+    symmetry_violation,
+    twist,
+)
+from symmetrizer.linalg import Matrix, nullspace, row_space_basis, span_equal
+from symmetrizer.polys import Poly
+from symmetrizer.polytext import parse_poly
+
+# ---------------------------------------------------------------------------
+# Oracles: the contraction-based evaluators, as they were before the table.
+
+
+def oracle_symmetry_violation(F: SymForm, g: Matrix):
+    n, d = F.nvars, F.degree
+    if g.nrows != n or g.ncols != n:
+        raise ValueError("endomorphism dimension must match the form")
+    images = [g.apply(basis_vector(n, i)) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for beta in enumerate_monomials(n, d - 2):
+                rest = [basis_vector(n, k) for k in monomial_slots(beta)]
+                lhs = F.evaluate(images[i], basis_vector(n, j), *rest)
+                rhs = F.evaluate(images[j], basis_vector(n, i), *rest)
+                if lhs != rhs:
+                    return (0, 1), (i, j) + monomial_slots(beta)
+    return None
+
+
+def oracle_constraint_matrix(F: SymForm) -> Matrix:
+    n, d = F.nvars, F.degree
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for beta in enumerate_monomials(n, d - 2):
+                row = [Q(0)] * (n * n)
+                for k in range(n):
+                    row[k * n + i] += F.value_on_basis((k, j) + monomial_slots(beta))
+                    row[k * n + j] -= F.value_on_basis((k, i) + monomial_slots(beta))
+                rows.append(row)
+    return Matrix.from_rows(rows, n * n)
+
+
+def oracle_pairings_vanish(F: SymForm, us, ws) -> bool:
+    n, d = F.nvars, F.degree
+    for u in us:
+        for w in ws:
+            for beta in enumerate_monomials(n, d - 2):
+                rest = [basis_vector(n, t) for t in monomial_slots(beta)]
+                if F.evaluate(u, w, *rest) != 0:
+                    return False
+    return True
+
+
+def oracle_kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
+    witness = oracle_symmetry_violation(F, h)
+    if witness is not None:
+        raise NotASymmetrizerError(*witness)
+    n = F.nvars
+    image = row_space_basis([h.column(j) for j in range(n)], width=n)
+    return oracle_pairings_vanish(F, image, nullspace(h))
+
+
+def oracle_cross_block_check(F: SymForm, dec: STDecomposition) -> CheckResult:
+    for a in range(len(dec.blocks)):
+        for b in range(a + 1, len(dec.blocks)):
+            if not oracle_pairings_vanish(F, dec.blocks[a].basis, dec.blocks[b].basis):
+                return CheckResult("fail", f"blocks {a},{b} have a nonzero cross value")
+    return CheckResult("pass", f"{dec.k} blocks")
+
+
+def oracle_jacobian_matrix(F: SymForm) -> Matrix:
+    rows = [F.contract(basis_vector(F.nvars, i)).coeff_vector() for i in range(F.nvars)]
+    return Matrix.from_rows(rows, monomial_count(F.nvars, F.degree - 1))
+
+
+def oracle_fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceReport:
+    """Two full symmetrizer algebras per call, as before `algebra=`."""
+    witness = oracle_symmetry_violation(F, g)
+    if witness is not None:
+        raise NotASymmetrizerError(*witness)
+    n = F.nvars
+    if g.rank() != n:
+        raise ValueError("twisting element must be invertible")
+    Fg = twist(F, g, check=False)
+    span_F = [b.flatten() for b in symmetrizer_algebra(F).basis]
+    span_Fg = [b.flatten() for b in symmetrizer_algebra(Fg).basis]
+    algebra_match = span_equal(span_F, span_Fg, width=n * n)
+    ginv = g.inverse()
+    transported = [ginv.apply(v) for v in jacobian_kernel(F)]
+    kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
+    grassmann_match = (
+        grassmann_point(F) == grassmann_point(Fg) if is_nondegenerate(F) else None
+    )
+    return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
+
+
+# ---------------------------------------------------------------------------
+# Inputs: n 2-4, d 3-4; dense, sparse, cone and structured forms, the
+# structured ones optionally moved by a change of basis with large
+# denominators, so that their symmetrizers carry large denominators too.
+
+DENOMINATORS = [1, 1, 2, 3, 7, 97, 65537, 1000003, 2**31 - 1, 2**61 - 1]
+rationals = st.one_of(
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-50, 50), st.sampled_from(DENOMINATORS)),
+)
+nonzero_rationals = st.builds(
+    Q, st.integers(1, 50).map(lambda x: x if x % 2 else -x), st.sampled_from(DENOMINATORS)
+)
+
+
+@st.composite
+def unit_triangular_changes(draw, n):
+    """Invertible: rational entries below a nonzero rational diagonal."""
+    return Matrix.from_rows(
+        [
+            [draw(rationals) if c < r else (draw(nonzero_rationals) if c == r else 0)
+             for c in range(n)]
+            for r in range(n)
+        ]
+    )
+
+
+@st.composite
+def forms(draw):
+    n, d = draw(st.integers(2, 4)), draw(st.integers(3, 4))
+    kind = draw(st.sampled_from(
+        ["dense", "sparse", "cone", "fermat", "st_sum", "prescribed_nilpotent"]
+    ))
+    if kind in ("dense", "sparse", "cone"):
+        monos = enumerate_monomials(n, d)
+        if kind == "cone":
+            monos = [a for a in monos if a[-1] == 0]
+        coeffs = nonzero_rationals if kind == "dense" else rationals
+        return SymForm.from_coeffs(n, d, [(a, draw(coeffs)) for a in monos])
+    spec = {"kind": kind, "nvars": n, "degree": d, "seed": draw(st.integers(0, 50))}
+    if kind == "st_sum":
+        spec["blocks"] = (1, n - 1)
+    if kind == "prescribed_nilpotent":
+        spec["nilpotent"] = Matrix.from_rows(
+            [[1 if (r, c) == (1, 0) else 0 for c in range(n)] for r in range(n)]
+        )
+    try:
+        F = generate(GeneratorSpec(**spec))
+    except GeneratorError:
+        F = generate(GeneratorSpec(kind="fermat", nvars=n, degree=d))
+    if draw(st.booleans()):
+        F = compose_linear(F, draw(unit_triangular_changes(n)))
+    return F
+
+
+@st.composite
+def endomorphisms(draw, F: SymForm, A):
+    """A random matrix, an element of g_F, or an element of g_F with one
+    entry moved."""
+    n = F.nvars
+    how = draw(st.sampled_from(["random", "member", "perturbed"]))
+    if how == "random":
+        return Matrix.from_rows([[draw(rationals) for _ in range(n)] for _ in range(n)])
+    g = Matrix.zeros(n)
+    for b in A.basis:
+        g = g + draw(rationals) * b
+    if how == "perturbed":
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = [list(row) for row in g.rows]
+        rows[r][c] += draw(nonzero_rationals)
+        g = Matrix.from_rows(rows)
+    return g
+
+
+def outcome(fn, *args):
+    """The return value, or the exception type and its witness attributes."""
+    try:
+        return ("ok", fn(*args))
+    except NotASymmetrizerError as exc:
+        return ("not a symmetrizer", exc.slot_pair, exc.basis_tuple)
+    except ValueError as exc:
+        return ("value error", str(exc))
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestTable:
+    @given(forms())
+    @settings(deadline=None, max_examples=60)
+    def test_slices_are_the_polarized_values(self, F):
+        den, slices = F.hessian_slices
+        betas = enumerate_monomials(F.nvars, F.degree - 2)
+        assert len(slices) == len(betas) and den >= 1
+        for beta, H in zip(betas, slices):
+            for k in range(F.nvars):
+                for j in range(F.nvars):
+                    value = F.value_on_basis((k, j) + monomial_slots(beta))
+                    assert Q(H[k][j], den) == value
+                    assert H[k][j] == H[j][k]
+
+    @given(forms())
+    @settings(deadline=None, max_examples=60)
+    def test_jacobian_matches_contractions(self, F):
+        assert jacobian_matrix(F) == oracle_jacobian_matrix(F)
+        assert jacobian_matrix(F) is jacobian_matrix(F)
+
+    def test_zero_form(self):
+        Z = SymForm.zero(3, 3)
+        assert Z.hessian_slices[0] == 1
+        assert constraint_matrix(Z) == oracle_constraint_matrix(Z)
+        assert symmetry_violation(Z, Matrix.from_rows([[0, 1, 0]] * 3)) is None
+
+
+class TestAgainstOracles:
+    @given(forms())
+    @settings(deadline=None, max_examples=60)
+    def test_constraint_matrix(self, F):
+        assert constraint_matrix(F) == oracle_constraint_matrix(F)
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_symmetry_violation(self, F, data):
+        g = data.draw(endomorphisms(F, symmetrizer_algebra(F)))
+        assert symmetry_violation(F, g) == oracle_symmetry_violation(F, g)
+
+    def test_witness_on_worked_non_symmetrizer(self):
+        F = parse_poly("x0^2*x1 + x1^2*x2 + x2^3")
+        for rows in ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]]):
+            g = Matrix.from_rows(rows)
+            got = symmetry_violation(F, g)
+            assert got is not None and got == oracle_symmetry_violation(F, g)
+
+    def test_shape_mismatch(self):
+        F = parse_poly("x0^3 + x1^3")
+        with pytest.raises(ValueError):
+            symmetry_violation(F, Matrix.identity(3))
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_kernel_image_vanishing(self, F, data):
+        A = symmetrizer_algebra(F)
+        h = data.draw(endomorphisms(F, A))
+        # nilpotent parts, and basis elements of degenerate algebras, have
+        # kernels and images worth pairing
+        for candidate in [h] + list(A.basis) + list(A.nilpotent_parts or ()):
+            assert outcome(kernel_image_vanishing, F, candidate) == outcome(
+                oracle_kernel_image_vanishing, F, candidate
+            )
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_pairings(self, F, data):
+        n = F.nvars
+        vectors = st.lists(st.tuples(*[rationals] * n), max_size=3)
+        us, ws = data.draw(vectors), data.draw(vectors)
+        assert pairings_vanish(F, us, ws) == oracle_pairings_vanish(F, us, ws)
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_cross_block_check_on_arbitrary_blocks(self, F, data):
+        n = F.nvars
+        sizes = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+        blocks = tuple(
+            STBlock(
+                tuple(data.draw(st.tuples(*[rationals] * n)) for _ in range(size)),
+                F,
+                Poly.one(),
+            )
+            for size in sizes
+        )
+        dec = STDecomposition(blocks, Matrix.identity(n), len(blocks))
+        assert _cross_block_check(F, dec) == oracle_cross_block_check(F, dec)
+
+    @given(forms())
+    @settings(deadline=None, max_examples=40)
+    def test_cross_block_check_on_decompositions(self, F):
+        if not is_nondegenerate(F):
+            return
+        dec = st_decompose(F)
+        if dec is not None:
+            assert _cross_block_check(F, dec) == oracle_cross_block_check(F, dec)
+            assert _cross_block_check(F, dec).status == "pass"
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_fiber_invariance_with_and_without_algebra(self, F, data):
+        n = F.nvars
+        A = symmetrizer_algebra(F)
+        # a scalar shift keeps members of g_F in g_F and makes them invertible
+        g = data.draw(endomorphisms(F, A)) + data.draw(nonzero_rationals) * Matrix.identity(n)
+        if symmetry_violation(F, g) is None:
+            assume(g.rank() == n)
+        expected = outcome(oracle_fiber_invariance_check, F, g)
+        assert outcome(fiber_invariance_check, F, g) == expected
+        assert outcome(fiber_invariance_check, F, g, A) == expected

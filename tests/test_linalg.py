@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from symmetrizer.linalg import (
     Matrix,
     coordinates_in_span,
-    is_nilpotent,
     jordan_chevalley,
     minimal_polynomial,
     nilpotency_index,
@@ -96,6 +95,14 @@ def oracle_span_contains(vectors, v) -> bool:
         return True
     rank = lambda rows: oracle_rref(Matrix(tuple(rows), len(v)))[2]
     return rank(list(vectors) + [v]) == rank(vectors)
+
+
+def oracle_poly_at_matrix(p: Poly, A: Matrix) -> Matrix:
+    """Horner adding c times a full identity matrix at every step."""
+    acc = Matrix.zeros(A.nrows)
+    for c in reversed(p.coeffs):
+        acc = oracle_product(acc, A) + c * Matrix.identity(A.nrows)
+    return acc
 
 
 # Large coprime denominators make the row lcms, and so the integer rows,
@@ -253,7 +260,7 @@ class TestJordanChevalley:
         S, N = jordan_chevalley(A)
         assert S + N == A
         assert S * N == N * S
-        assert is_nilpotent(N)
+        assert nilpotency_index(N) is not None
         assert is_squarefree(minimal_polynomial(S))
 
 
@@ -301,6 +308,13 @@ class TestIntegerKernelsMatchOracles:
         A = data.draw(rational_matrices(nrows=n, ncols=k))
         B = data.draw(rational_matrices(nrows=k, ncols=m))
         assert A * B == oracle_product(A, B)
+
+    @given(st.integers(0, 4).flatmap(lambda n: rational_matrices(n, n)),
+           st.lists(rationals, max_size=5))
+    @settings(deadline=None, max_examples=150)
+    def test_poly_at_matrix(self, A, coeffs):
+        p = Poly.from_coeffs(coeffs)
+        assert poly_at_matrix(p, A) == oracle_poly_at_matrix(p, A)
 
     def test_negative_pivot_and_coprime_denominators(self):
         A = M([Q(-3, 65537), Q(1, 7), 0], [Q(2, 1000003), Q(-5, 97), Q(1, 2)])

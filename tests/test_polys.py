@@ -82,7 +82,7 @@ class TestGcd:
     @settings(deadline=None)
     def test_common_factor_detected(self, a, b, c):
         g = poly_gcd(a * c, b * c)
-        assert c.divides(g)
+        assert (g % c).is_zero
 
     def test_squarefree_part(self):
         p = P(-1, 1) ** 2 * P(2, 1)  # (t-1)^2 (t+2)
