@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
-from typing import Iterator, Sequence
+from functools import cached_property
+from math import comb, factorial, gcd
+from typing import Sequence
 
 from .forms import (
     DegenerateFormError,
@@ -118,6 +119,19 @@ class SymmetrizerAlgebra:
 
     def contains(self, g: Matrix) -> bool:
         return span_contains(self.flat_basis(), g.flatten())
+
+    @cached_property
+    def decomposition(self) -> STDecomposition | None:
+        """st_decompose of the form, or None when the form is degenerate or
+        the torus is zero. Computed once, for the report and the checks."""
+        if not self.nondegenerate or self.dim_torus == 0:
+            return None
+        return st_decompose(self.form, algebra=self)
+
+    @cached_property
+    def nilpotents(self) -> NilpotentReport | None:
+        """nilpotent_report of the algebra, or None when the form is degenerate."""
+        return nilpotent_report(self) if self.nondegenerate else None
 
 
 def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
@@ -270,11 +284,6 @@ def embed_form(G: SymForm, nvars: int, offsets: Sequence[int]) -> SymForm:
     return SymForm.from_coeffs(nvars, G.degree, coeffs)
 
 
-def _is_scalar(g: Matrix) -> bool:
-    n = g.nrows
-    return span_contains([Matrix.identity(n).flatten()], g.flatten())
-
-
 def _integer_scaled(g: Matrix) -> Matrix:
     """Nonzero scalar multiple of g with coprime integer entries.
 
@@ -286,34 +295,22 @@ def _integer_scaled(g: Matrix) -> Matrix:
     return Matrix.from_flat(g.nrows, [v // common for v in nums])
 
 
-def _splitting_candidates(
-    A: SymmetrizerAlgebra, seed: int, retries: int = 8
-) -> Iterator[Matrix]:
-    """First non-scalar semisimple part, then seeded random combinations
-    of the semisimple parts (still semisimple: they commute)."""
-    sems = A.semisimple_parts or ()
-    first = next((s for s in sems if not _is_scalar(s)), None)
-    if first is not None:
-        yield _integer_scaled(first)
-    rng = SplitMix64(seed)
-    n = A.form.nvars
-    for _ in range(retries):
-        cand = Matrix.zeros(n)
-        for s in sems:
-            cand = cand + rng.int_in(-9, 9) * s
-        if not cand.is_zero and not _is_scalar(cand):
-            yield _integer_scaled(cand)
-
-
 def st_decompose(
-    F: SymForm, seed: int = 0, algebra: SymmetrizerAlgebra | None = None
+    F: SymForm, algebra: SymmetrizerAlgebra | None = None
 ) -> STDecomposition | None:
-    """Split F into a direct sum of forms on independent subspaces, or
-    None when the torus gives no rational splitting.
+    """Split F into the finest direct sum over the rationals of forms on
+    independent subspaces, or None when the torus gives no rational split.
 
-    Blocks are kernels of the irreducible factors of the minimal
-    polynomial of a non-scalar semisimple element s in g_F; candidates
-    are tried to maximize the block count. The decomposition is certified
+    The torus algebra T, the span of the semisimple parts S_i, is
+    commutative and semisimple of dimension t = 1 + dim_torus; its
+    primitive idempotents cut out the finest split. A primitive element
+    s of T (minimal polynomial of degree t, so Q[s] = T) has them as the
+    projections onto the kernels of the irreducible factors of its
+    minimal polynomial. No seed is needed: s is the first of
+    s_m = sum_i m^i S_i, m = 0, 1, 2, ..., of full degree. Two distinct
+    characters of T agree on s_m only at a root of a nonzero polynomial
+    in m of degree below len(S), so the search ends within
+    C(t, 2)·(len(S) − 1) + 1 values of m. The decomposition is certified
     before returning: the blocks must sum to V, and rewriting F in the
     block basis must produce exactly the sum of the block forms (hence
     all cross-block values vanish).
@@ -326,21 +323,20 @@ def st_decompose(
     if A.dim_torus == 0:
         return None
     n = F.nvars
-
-    best: tuple[int, Matrix, list[tuple[Poly, int]]] | None = None
-    for cand in _splitting_candidates(A, seed):
-        mp = minimal_polynomial(cand)
-        if not is_squarefree(mp):
-            raise InvariantError("semisimple candidate has a repeated factor")
-        factors = factor_rational(mp)
-        k = len(factors)
-        if best is None or k > best[0]:
-            best = (k, cand, factors)
-        if k == n:
+    sems, t = A.semisimple_parts, 1 + A.dim_torus
+    for m in range(comb(t, 2) * (len(sems) - 1) + 1):
+        s = _integer_scaled(sum((m**i * S for i, S in enumerate(sems)), Matrix.zeros(n)))
+        mp = minimal_polynomial(s)
+        if mp.degree == t:
             break
-    if best is None or best[0] < 2:
+    else:
+        raise InvariantError("no primitive element of the torus within the search bound")
+    if not is_squarefree(mp):
+        raise InvariantError("semisimple candidate has a repeated factor")
+    factors = factor_rational(mp)
+    k = len(factors)
+    if k < 2:
         return None
-    k, s, factors = best
 
     blocks = []
     offsets = []
@@ -726,7 +722,7 @@ def check_identities(
         reason = "degenerate form"
     elif A.dim_torus == 0:
         reason = "torus is trivial: nothing splits"
-    elif (dec := st_decompose(F, seed=seed, algebra=A)) is None:
+    elif (dec := A.decomposition) is None:
         reason = (
             "splitting elements have irreducible minimal polynomials over "
             "the rationals; no rational block decomposition"
@@ -738,7 +734,7 @@ def check_identities(
         out["block_algebra_sum"] = _block_algebra_sum_check(F, A, dec)
 
     if nondeg:
-        rep = nilpotent_report(A)
+        rep = A.nilpotents
         if A.dim_unipotent == 0:
             out["square_zero_exists"] = CheckResult("skip", "unipotent part is zero")
         else:

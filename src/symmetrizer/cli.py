@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Iterable
 
 from .algebra import (
@@ -22,9 +23,7 @@ from .algebra import (
     NilpotentReport,
     STDecomposition,
     check_identities,
-    nilpotent_report,
     recover_symmetrizer,
-    st_decompose,
     symmetrizer_algebra,
 )
 from .corpus import GeneratorError, GeneratorSpec, census, generate
@@ -133,12 +132,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not A.nondegenerate and args.require_nondegenerate:
         print("input form is degenerate", file=sys.stderr)
         return EXIT_DEGENERATE
-    dec = None
-    rep = None
-    if A.nondegenerate:
-        if A.dim_torus > 0:
-            dec = st_decompose(F, seed=args.seed, algebra=A)
-        rep = nilpotent_report(A)
+    dec, rep = A.decomposition, A.nilpotents
     checks = check_identities(
         F,
         seed=args.seed,
@@ -280,6 +274,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symmetrizer",
@@ -289,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--nvars", type=int, default=None, help="variable count override")
-        p.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+        p.add_argument("--seed", type=int, default=0, help="seed for the identity checks")
         p.add_argument(
             "--samples", type=_positive_int, default=8,
             help="sampled symmetrizers per check (at least 1)",

@@ -36,7 +36,7 @@ class InvariantError(RuntimeError):
 
 
 def vector(entries: Iterable) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -68,7 +68,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ncols: int | None = None) -> "Matrix":
-        converted = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        converted = tuple(vector(row) for row in rows)
         if converted:
             width = len(converted[0])
             if any(len(r) != width for r in converted):

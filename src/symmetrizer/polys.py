@@ -2,9 +2,9 @@
 
 Provides exact arithmetic, gcd, squarefree part, and factorization into
 irreducibles. Factorization runs Zassenhaus: factor modulo a small prime,
-Hensel-lift, recombine. Degrees are capped at 8 because the engine only
-ever factors matrix minimal polynomials with n <= 8, but coefficients can
-be arbitrarily large without hurting the running time.
+Hensel-lift, recombine. The engine only factors minimal polynomials of
+n×n matrices, so degrees stay at most n; coefficients can be arbitrarily
+large without hurting the running time.
 """
 
 from __future__ import annotations
@@ -15,13 +15,6 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, lcm
 from typing import Iterable, Iterator
-
-FACTOR_DEGREE_CAP = 8
-
-
-class UnsupportedDegreeError(ValueError):
-    """Raised when a factorization request exceeds the degree cap."""
-
 
 @dataclass(frozen=True)
 class Poly:
@@ -497,18 +490,14 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
     return sorted(out, key=lambda q: (q.degree, q.coeffs))
 
 
-def factor_rational(p: Poly, degree_cap: int = FACTOR_DEGREE_CAP) -> list[tuple[Poly, int]]:
+def factor_rational(p: Poly) -> list[tuple[Poly, int]]:
     """Factor p into monic irreducibles with multiplicities.
 
     The product of the factors times the leading coefficient of p
-    reproduces p exactly. Raises UnsupportedDegreeError above the cap.
+    reproduces p exactly.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree > degree_cap:
-        raise UnsupportedDegreeError(
-            f"degree {p.degree} exceeds the factorization cap {degree_cap}"
-        )
     if p.degree == 0:
         return []
     irreducibles = _factor_squarefree(squarefree_part(p))

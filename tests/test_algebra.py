@@ -4,8 +4,10 @@ fiber transport, identity checks."""
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, flats
+from test_evaluators import forms
 from symmetrizer.algebra import (
     FiberMismatchError,
     algebra_closure_check,
@@ -21,6 +23,7 @@ from symmetrizer.algebra import (
     st_decompose,
     symmetrizer_algebra,
 )
+from symmetrizer.corpus import GeneratorSpec, generate
 from symmetrizer.forms import (
     NotASymmetrizerError,
     ProjectivePoint,
@@ -37,7 +40,7 @@ from symmetrizer.linalg import (
     span_equal,
     vector,
 )
-from symmetrizer.polys import Poly
+from symmetrizer.polys import Poly, factor_rational
 from symmetrizer.polytext import format_poly, parse_poly
 
 CUSP = parse_poly("x0^2*x1")
@@ -172,6 +175,42 @@ class TestSTDecomposition:
             assert blk.form == restrict_form(F, blk.basis)
             assert is_nondegenerate(blk.form)
             assert isinstance(blk.factor, Poly)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_fermat_cubic_splits_into_n_blocks(self, n):
+        dec = st_decompose(parse_poly(" + ".join(f"x{i}^3" for i in range(n))))
+        assert dec is not None and dec.k == n
+
+
+def block_count(A) -> int:
+    """The block count of A's decomposition (1 when there is none),
+    after checking it against the bounds the torus sets: at most
+    1 + dim_torus, and at least the factor count of the minimal
+    polynomial of every semisimple part."""
+    k = A.decomposition.k if A.decomposition else 1
+    assert k <= 1 + A.dim_torus
+    for S in A.semisimple_parts:
+        assert k >= len(factor_rational(minimal_polynomial(S)))
+    return k
+
+
+# the st_sum corpus of acceptance criterion 4: seed s has shape s mod 5
+ST_SUM_SHAPES = ((4, 3, (2, 2)), (5, 3, (2, 3)), (5, 4, (2, 3)), (4, 4, (2, 2)), (5, 3, (3, 2)))
+
+
+class TestFinestSplit:
+    @given(forms())
+    @settings(deadline=None, max_examples=40)
+    def test_block_count_within_torus_bounds(self, F):
+        A = symmetrizer_algebra(F)
+        if A.nondegenerate:
+            block_count(A)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_st_sum_splits_at_least_into_its_blocks(self, seed):
+        n, d, blocks = ST_SUM_SHAPES[seed % len(ST_SUM_SHAPES)]
+        A = symmetrizer_algebra(generate(GeneratorSpec("st_sum", n, d, seed=seed, blocks=blocks)))
+        assert block_count(A) >= len(blocks)
 
 
 class TestNilpotentReport:

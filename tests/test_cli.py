@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from symmetrizer import cli
+from symmetrizer import algebra, cli
 
 RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
@@ -84,6 +84,40 @@ class TestAnalyze:
             for row in mat:
                 for entry in row:
                     assert RATIONAL.fullmatch(entry)
+
+    @pytest.mark.parametrize("n, seed", [(7, "1"), (8, "1"), (9, "2")])
+    def test_fermat_blocks_do_not_depend_on_the_seed(self, capsys, n, seed):
+        poly = " + ".join(f"x{i}^3" for i in range(n))
+        code, report, _ = run_json(capsys, "analyze", poly, "--nvars", str(n), "--seed", seed)
+        assert code == 0
+        assert report["st_blocks"]["k"] == n
+        _, at_zero, _ = run_json(capsys, "analyze", poly, "--nvars", str(n), "--seed", "0")
+        assert report["st_blocks"] == at_zero["st_blocks"]
+
+    def test_decomposition_and_nilpotents_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("st_decompose", "nilpotent_report"):
+            monkeypatch.setattr(algebra, name, counted(getattr(algebra, name)))
+        code, _, _ = run(capsys, "analyze", "x0^3 + x1^3 + x2^3")
+        assert code == 0
+        assert sorted(calls) == ["nilpotent_report", "st_decompose"]
+
+    def test_no_state_carries_between_calls(self, capsys):
+        poly = "x0^3 + x1^3 + x2^3"
+        assert run(capsys, "analyze", poly, "--seed", "3", "--samples", "2")[0] == 0
+        assert run(capsys, "recover", "x0^2*x1", "x0^2*x1 + x0^3")[0] == 0
+        later = run(capsys, "analyze", poly)
+        reused = cli._build_parser().parse_args(["analyze", poly])
+        assert reused == cli._build_parser.__wrapped__().parse_args(["analyze", poly])
+        cli._build_parser.cache_clear()
+        assert run(capsys, "analyze", poly) == later
 
     def test_parse_failure_exits_2(self, capsys):
         code, out, err = run(capsys, "analyze", "x0^2 + x1^3")

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symmetrizer.polys import (
-    FACTOR_DEGREE_CAP,
     Poly,
-    UnsupportedDegreeError,
     factor_rational,
     is_squarefree,
     poly_gcd,
@@ -135,14 +133,20 @@ class TestFactorization:
         assert prod == p
 
     def test_degree_cap(self):
-        p = Poly.x() ** 9 - Poly.x() - Poly.one()
-        with pytest.raises(UnsupportedDegreeError):
-            factor_rational(p)
-        assert FACTOR_DEGREE_CAP == 8
+        """There is no degree cap: degree 9 and beyond factor exactly."""
+        p = Poly.x() ** 9 - Poly.x() - Poly.one()  # irreducible (Selmer)
+        assert factor_rational(p) == [(p, 1)]
+        roots = (-5, -3, -2, -1, 0, 1, 2, 3, 4, 7, 11, 13)
+        linear = Poly.one()
+        for r in roots:
+            linear = linear * P(-r, 1)
+        assert factor_rational(linear) == [(P(-r, 1), 1) for r in sorted(roots, reverse=True)]
+        quadratics = P(-2, 0, 1) * P(-3, 0, 1) * P(-5, 0, 1) * P(-7, 0, 1)
+        assert factor_rational(quadratics) == [(P(-c, 0, 1), 1) for c in (7, 5, 3, 2)]
 
     def test_cap_override(self):
         p = Poly.x() ** 9 - Poly.x() ** 8
-        assert factor_rational(p, degree_cap=9) == [(P(-1, 1), 1), (P(0, 1), 8)]
+        assert factor_rational(p) == [(P(-1, 1), 1), (P(0, 1), 8)]
 
     def test_constants_have_no_factors(self):
         assert factor_rational(Poly.constant(Q(7))) == []
