@@ -22,12 +22,10 @@ from .algebra import (
     algebra_closure_check,
     check_identities,
     constraint_matrix,
-    embed_form,
     fiber_invariance_check,
     kernel_image_vanishing,
     nilpotent_report,
     recover_symmetrizer,
-    restrict_form,
     sample_invertible_symmetrizers,
     st_decompose,
     symmetrizer_algebra,
@@ -82,7 +80,6 @@ __all__ = [
     "check_identities",
     "compose_linear",
     "constraint_matrix",
-    "embed_form",
     "enumerate_monomials",
     "factor_rational",
     "fiber_invariance_check",
@@ -100,7 +97,6 @@ __all__ = [
     "nilpotent_report",
     "parse_poly",
     "recover_symmetrizer",
-    "restrict_form",
     "sample_invertible_symmetrizers",
     "squarefree_part",
     "st_decompose",

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd
+from itertools import accumulate
+from math import comb, gcd
 from typing import Sequence
 
 from .forms import (
@@ -23,14 +24,11 @@ from .forms import (
     NotASymmetrizerError,
     ProjectivePoint,
     SymForm,
-    alpha_factorial,
     compose_linear,
-    enumerate_monomials,
     grassmann_point,
     is_nondegenerate,
     jacobian_kernel,
     jacobian_matrix,
-    monomial_slots,
     pairings_vanish,
     symmetry_violation,
     twist,
@@ -48,7 +46,7 @@ from .linalg import (
     nullspace,
     poly_at_matrix,
     row_space_basis,
-    solve,
+    rref,
     span_contains,
     span_equal,
 )
@@ -57,7 +55,8 @@ from .rng import SplitMix64
 
 
 class FiberMismatchError(ValueError):
-    """The two forms have different Jacobian images; no transport exists."""
+    """The two forms lie in different fibers of the Jacobian map (different
+    images, or different shapes); no transport exists."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +261,6 @@ class STDecomposition:
         return Matrix.from_rows(cols).transpose()
 
 
-def restrict_form(F: SymForm, basis: Sequence[Vec]) -> SymForm:
-    """F pulled back to the span of `basis`, written in those coordinates."""
-    dim, d = len(basis), F.degree
-    coeffs = {}
-    for gamma in enumerate_monomials(dim, d):
-        val = F.evaluate(*[basis[t] for t in monomial_slots(gamma)])
-        if val != 0:
-            coeffs[gamma] = val * Fraction(factorial(d), alpha_factorial(gamma))
-    return SymForm.from_coeffs(dim, d, coeffs)
-
-
-def embed_form(G: SymForm, nvars: int, offsets: Sequence[int]) -> SymForm:
-    """Re-index a block form into ambient variables via offsets."""
-    coeffs = {}
-    for gamma, c in G.terms:
-        alpha = [0] * nvars
-        for t, e in enumerate(gamma):
-            alpha[offsets[t]] = e
-        coeffs[tuple(alpha)] = c
-    return SymForm.from_coeffs(nvars, G.degree, coeffs)
-
-
 def _integer_scaled(g: Matrix) -> Matrix:
     """Nonzero scalar multiple of g with coprime integer entries.
 
@@ -311,9 +288,10 @@ def st_decompose(
     characters of T agree on s_m only at a root of a nonzero polynomial
     in m of degree below len(S), so the search ends within
     C(t, 2)·(len(S) − 1) + 1 values of m. The decomposition is certified
-    before returning: the blocks must sum to V, and rewriting F in the
-    block basis must produce exactly the sum of the block forms (hence
-    all cross-block values vanish).
+    before returning: the blocks must sum to V, and F rewritten in the
+    block basis B, P(B·y), may have no term in the variables of two
+    blocks. Its terms in the variables of one block make up that block's
+    form, F restricted to the block in the coordinates of its basis.
     """
     A = algebra if algebra is not None else symmetrizer_algebra(F)
     if not A.nondegenerate:
@@ -338,34 +316,34 @@ def st_decompose(
     if k < 2:
         return None
 
-    blocks = []
-    offsets = []
-    pos = 0
+    bases = []
     for p, mult in factors:
         if mult != 1:
             raise InvariantError("semisimple minimal polynomial not squarefree")
-        block_basis = nullspace(poly_at_matrix(p, s))
-        if not block_basis:
+        basis = nullspace(poly_at_matrix(p, s))
+        if not basis:
             raise InvariantError("irreducible factor with trivial kernel")
-        blocks.append(
-            STBlock(tuple(block_basis), restrict_form(F, block_basis), p)
-        )
-        offsets.append(pos)
-        pos += len(block_basis)
-    if pos != n:
+        bases.append(basis)
+    if sum(map(len, bases)) != n:
         raise InvariantError("block dimensions do not fill the space")
-
-    dec = STDecomposition(tuple(blocks), s, k)
-    B = dec.change_of_basis()
+    B = Matrix.from_rows([v for basis in bases for v in basis]).transpose()
     if B.rank() != n:
         raise InvariantError("block bases are not independent")
-    total = SymForm.zero(n, F.degree)
-    for blk, off in zip(blocks, offsets):
-        dims = len(blk.basis)
-        total = total + embed_form(blk.form, n, range(off, off + dims))
-    if compose_linear(F, B) != total:
-        raise InvariantError("cross-block values fail to vanish")
-    return dec
+
+    # each term of P(B·y) belongs to the block of its first variable
+    block_of = [b for b, basis in enumerate(bases) for _ in basis]
+    starts = list(accumulate(map(len, bases), initial=0))
+    pieces: list[dict] = [{} for _ in bases]
+    for alpha, c in compose_linear(F, B).terms:
+        b = block_of[next(i for i, e in enumerate(alpha) if e)]
+        if any(alpha[starts[b + 1]:]):
+            raise InvariantError("cross-block values fail to vanish")
+        pieces[b][alpha[starts[b]:starts[b + 1]]] = c
+    blocks = tuple(
+        STBlock(tuple(basis), SymForm.from_coeffs(len(basis), F.degree, piece), p)
+        for basis, piece, (p, _) in zip(bases, pieces, factors)
+    )
+    return STDecomposition(blocks, s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +503,21 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
 def recover_symmetrizer(F: SymForm, Ft: SymForm) -> Matrix:
     """The unique g with twist(F, g) = Ft, for forms sharing a Jacobian
     image. Column j of g solves J_F^T x = (row j of J_Ft): it rewrites
-    each partial of Ft over the partials of F."""
+    each partial of Ft over the partials of F. All n systems share one
+    reduction of [J_F^T | J_Ft^T]."""
     if (F.nvars, F.degree) != (Ft.nvars, Ft.degree):
-        raise ValueError("forms live in different spaces")
+        raise FiberMismatchError("forms live in different spaces")
     if grassmann_point(F) != grassmann_point(Ft):
         raise FiberMismatchError("forms have different Jacobian images")
     n = F.nvars
-    lhs = jacobian_matrix(F).transpose()
-    rows_t = jacobian_matrix(Ft).rows
-    cols = []
-    for j in range(n):
-        x = solve(lhs, rows_t[j])
-        if x is None:
-            raise InvariantError("equal Jacobian images but unsolvable transport")
-        cols.append(x)
-    g = Matrix.from_rows([[cols[j][k] for j in range(n)] for k in range(n)])
+    J, Jt = jacobian_matrix(F), jacobian_matrix(Ft)
+    red, pivots, _ = rref(Matrix(J.rows + Jt.rows, J.ncols).transpose())
+    if any(p >= n for p in pivots):
+        raise InvariantError("equal Jacobian images but unsolvable transport")
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for r, p in enumerate(pivots):
+        rows[p] = red.rows[r][n:]
+    g = Matrix.from_rows(rows)
     if g.rank() != n:
         raise InvariantError("fiber transport is singular")
     witness = symmetry_violation(F, g)

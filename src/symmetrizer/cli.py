@@ -254,12 +254,15 @@ def _specs_from_jsonl(lines: Iterable[str]) -> Iterable[GeneratorSpec]:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    if args.specs == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.specs, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    for row in census(_specs_from_jsonl(lines)):
+    try:
+        if args.specs == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.specs, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise GeneratorError(f"cannot read {args.specs}: {exc}") from None
+    for row in census(_specs_from_jsonl(text.splitlines())):
         sys.stdout.write(json.dumps(row) + "\n")
     return EXIT_OK
 

@@ -14,10 +14,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
 
-from .algebra import embed_form, nilpotent_report, symmetrizer_algebra
+from .algebra import nilpotent_report, symmetrizer_algebra
 from .forms import (
     SymForm,
     alpha_factorial,
+    compose_linear,
     enumerate_monomials,
     is_nondegenerate,
     monomial_index,
@@ -135,7 +136,7 @@ def generate(spec: GeneratorSpec) -> SymForm:
 
     if spec.kind == "cone":
         # pure powers on all but the last variable: always degenerate
-        return embed_form(_fermat(n - 1, d), n, range(n - 1))
+        return compose_linear(_fermat(n - 1, d), Matrix(Matrix.identity(n).rows[:-1], n))
 
     if spec.kind == "random":
         return _random_form(n, d, spec.seed, spec.coefficient_bound)
@@ -153,7 +154,9 @@ def generate(spec: GeneratorSpec) -> SymForm:
                 raise GeneratorError(
                     f"no nondegenerate block of size {size} within {RETRY_CAP} draws"
                 )
-            total = total + embed_form(sub, n, range(off, off + size))
+            # rows off, ..., off + size - 1 of the identity: sub in those variables
+            rows = Matrix.identity(n).rows[off : off + size]
+            total = total + compose_linear(sub, Matrix(rows, n))
             off += size
         return total
 

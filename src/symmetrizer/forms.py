@@ -438,19 +438,23 @@ def vanishing_order(F: SymForm, u: Sequence | ProjectivePoint) -> int:
 
 
 def compose_linear(F: SymForm, A: Matrix) -> SymForm:
-    """The form (v1, ..., vd) -> F(A·v1, ..., A·vd); polynomial P(A·x)."""
-    n = F.nvars
-    if A.nrows != n or A.ncols != n:
-        raise ValueError("endomorphism dimension must match the form")
-    # rows of A give the substitution x_i -> sum_j A[i][j] * x_j
-    unit = lambda j: tuple(1 if k == j else 0 for k in range(n))
-    images = [
-        {unit(j): A.entry(i, j) for j in range(n) if A.entry(i, j) != 0}
-        for i in range(n)
-    ]
+    """The m-form (v1, ..., vd) -> F(A·v1, ..., A·vd) for an n × m matrix A,
+    n = F.nvars: its polynomial is P(A·y) in m variables y.
+
+    A square invertible A changes coordinates. A narrow A (m < n) with
+    independent columns restricts F to their span, in the coordinates the
+    columns give. A wide A whose rows are distinct rows of the m × m
+    identity moves F's variables to those positions among m variables.
+    """
+    n, m = F.nvars, A.ncols
+    if A.nrows != n:
+        raise ValueError("substitution needs one row per variable of the form")
+    # row i of A gives the substitution x_i -> sum_j A[i][j] * y_j
+    unit = lambda j: tuple(1 if k == j else 0 for k in range(m))
+    images = [{unit(j): a for j, a in enumerate(row) if a != 0} for row in A.rows]
     out: dict[Exponents, Fraction] = {}
     for alpha, c in F.terms:
-        acc: dict[Exponents, Fraction] = {(0,) * n: c}
+        acc: dict[Exponents, Fraction] = {(0,) * m: c}
         for i, e in enumerate(alpha):
             for _ in range(e):
                 nxt: dict[Exponents, Fraction] = {}
@@ -461,4 +465,4 @@ def compose_linear(F: SymForm, A: Matrix) -> SymForm:
                 acc = nxt
         for mono, mc in acc.items():
             out[mono] = out.get(mono, Fraction(0)) + mc
-    return SymForm.from_coeffs(n, F.degree, out)
+    return SymForm.from_coeffs(m, F.degree, out)

@@ -182,11 +182,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
     def rank(self) -> int:
         return rref(self)[2]
 

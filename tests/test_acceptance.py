@@ -26,7 +26,6 @@ from symmetrizer.algebra import (
     FiberMismatchError,
     nilpotent_report,
     recover_symmetrizer,
-    restrict_form,
     sample_invertible_symmetrizers,
     st_decompose,
     symmetrizer_algebra,
@@ -35,6 +34,7 @@ from symmetrizer.corpus import GeneratorSpec, generate
 from symmetrizer.forms import (
     ProjectivePoint,
     basis_vector,
+    compose_linear,
     grassmann_point,
     is_nondegenerate,
     jacobian_kernel,
@@ -205,9 +205,8 @@ def test_criterion_4_direct_sum_algebras(capsys):
         summands = []
         offset = 0
         for size in blocks:
-            piece = restrict_form(
-                F, [basis_vector(n, offset + i) for i in range(size)]
-            )
+            columns = [row[offset : offset + size] for row in Matrix.identity(n).rows]
+            piece = compose_linear(F, Matrix.from_rows(columns))
             for b in symmetrizer_algebra(piece).basis:
                 summands.append(_embed_matrix(b, n, offset))
             offset += size

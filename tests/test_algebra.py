@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, flats
-from test_evaluators import forms
+from test_evaluators import forms, oracle_embed_form, oracle_restrict_form
 from symmetrizer.algebra import (
     FiberMismatchError,
     algebra_closure_check,
     check_identities,
     constraint_matrix,
-    embed_form,
     fiber_invariance_check,
     kernel_image_vanishing,
     nilpotent_report,
     recover_symmetrizer,
-    restrict_form,
     sample_invertible_symmetrizers,
     st_decompose,
     symmetrizer_algebra,
@@ -27,13 +25,15 @@ from symmetrizer.corpus import GeneratorSpec, generate
 from symmetrizer.forms import (
     NotASymmetrizerError,
     ProjectivePoint,
-    basis_vector,
+    SymForm,
+    compose_linear,
     is_nondegenerate,
     is_symmetrizer,
     twist,
     vanishing_order,
 )
 from symmetrizer.linalg import (
+    InvariantError,
     Matrix,
     minimal_polynomial,
     nilpotency_index,
@@ -146,15 +146,25 @@ class TestSTDecomposition:
         dec = st_decompose(F)
         assert dec is not None and dec.k == 2
         B = dec.change_of_basis()
-        from symmetrizer.forms import compose_linear
-
         total = None
         offset = 0
         for blk in dec.blocks:
-            emb = embed_form(blk.form, F.nvars, range(offset, offset + len(blk.basis)))
+            size = len(blk.basis)
+            emb = oracle_embed_form(blk.form, F.nvars, range(offset, offset + size))
             total = emb if total is None else total + emb
-            offset += len(blk.basis)
+            offset += size
         assert compose_linear(F, B) == total
+
+    def test_cross_block_term_is_refused(self, monkeypatch):
+        from symmetrizer import algebra
+
+        def leaky(F, A, compose=algebra.compose_linear):
+            # the true substitution plus one term in both blocks' variables
+            return compose(F, A) + SymForm.from_coeffs(2, 3, {(2, 1): 1})
+
+        monkeypatch.setattr(algebra, "compose_linear", leaky)
+        with pytest.raises(InvariantError, match="cross-block values fail to vanish"):
+            st_decompose(parse_poly("x0^3 + x1^3"))
 
     def test_irreducible_torus_gives_none(self):
         assert st_decompose(NORM) is None
@@ -172,14 +182,17 @@ class TestSTDecomposition:
         F = parse_poly("x0^3 + x1^3")
         dec = st_decompose(F)
         for blk in dec.blocks:
-            assert blk.form == restrict_form(F, blk.basis)
+            assert blk.form == oracle_restrict_form(F, blk.basis)
             assert is_nondegenerate(blk.form)
             assert isinstance(blk.factor, Poly)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_fermat_cubic_splits_into_n_blocks(self, n):
-        dec = st_decompose(parse_poly(" + ".join(f"x{i}^3" for i in range(n))))
+        F = parse_poly(" + ".join(f"x{i}^3" for i in range(n)))
+        dec = st_decompose(F)
         assert dec is not None and dec.k == n
+        for blk in dec.blocks:
+            assert blk.form == oracle_restrict_form(F, blk.basis)
 
 
 def block_count(A) -> int:
@@ -351,6 +364,7 @@ class TestPrescribedNilpotent:
 class TestEmbedRestrict:
     def test_embed_then_restrict_is_identity(self):
         G = parse_poly("x0^3 + x0*x1^2")
-        F = embed_form(G, 5, (1, 3))
-        back = restrict_form(F, [basis_vector(5, 1), basis_vector(5, 3)])
-        assert back == G
+        E = Matrix((Matrix.identity(5).rows[1], Matrix.identity(5).rows[3]), 5)
+        F = compose_linear(G, E)
+        assert F == oracle_embed_form(G, 5, (1, 3))
+        assert compose_linear(F, E.transpose()) == G

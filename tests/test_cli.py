@@ -148,6 +148,12 @@ class TestRecover:
         assert code == 2
         assert "input error" in err
 
+    def test_mismatched_degrees_exit_4(self, capsys):
+        code, out, err = run(capsys, "recover", "x0^3", "x0^4")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("fiber mismatch:")
+
 
 class TestCheck:
     @pytest.mark.parametrize("poly", ["x0^2*x1", "x0^2*x2 + x0*x1^2"])
@@ -317,6 +323,24 @@ class TestCensus:
         code, _, err = run(capsys, "census", str(tmp_path / "absent.jsonl"))
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, unreadable):
+        path = tmp_path
+        if unreadable == "not_utf8":
+            path = tmp_path / "specs.jsonl"
+            path.write_bytes(self.spec_lines([0])[0].encode() + b"\n\xff\xfe\n")
+        code, out, err = run(capsys, "census", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:")
+
+    def test_stdin_not_utf8_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8"))
+        code, out, err = run(capsys, "census", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:")
 
 
 class TestArgumentErrors:

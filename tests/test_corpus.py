@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import H_REGULAR_3, H_SQUARE_ZERO_3
-from symmetrizer.algebra import restrict_form, symmetrizer_algebra
+from symmetrizer.algebra import symmetrizer_algebra
 from symmetrizer.corpus import (
     KINDS,
     GeneratorError,
@@ -13,7 +13,7 @@ from symmetrizer.corpus import (
     nilpotent_form_space,
 )
 from symmetrizer.forms import (
-    basis_vector,
+    compose_linear,
     is_nondegenerate,
     is_symmetrizer,
     jacobian_kernel,
@@ -101,8 +101,9 @@ class TestFamilies:
 
     def test_st_sum_blocks_are_nondegenerate(self):
         F = generate(GeneratorSpec("st_sum", 5, 4, seed=3, blocks=(2, 3)))
-        lo = restrict_form(F, [basis_vector(5, 0), basis_vector(5, 1)])
-        hi = restrict_form(F, [basis_vector(5, i) for i in (2, 3, 4)])
+        identity = Matrix.identity(5).rows
+        lo = compose_linear(F, Matrix.from_rows([r[:2] for r in identity]))
+        hi = compose_linear(F, Matrix.from_rows([r[2:] for r in identity]))
         assert is_nondegenerate(lo) and is_nondegenerate(hi)
 
 

@@ -1,15 +1,18 @@
-"""The Hessian-slice evaluators against the contraction-based ones they
-replaced.
+"""The Hessian-slice evaluators and the linear substitution against the
+implementations they replaced.
 
 `symmetry_violation`, `constraint_matrix`, `kernel_image_vanishing`, the
 cross-block check and `jacobian_matrix` read the per-form tables cached on
-`SymForm`. The oracles below are the earlier implementations, which
-derive every value from `SymForm.evaluate`/`contract` or `value_on_basis`.
-The table-based functions must agree with them exactly: the same witness
-tuple, the same booleans, the same matrix.
+`SymForm`. `compose_linear` with a rectangular matrix replaces the block
+restriction and re-embedding that `st_decompose` and the corpus used. The
+oracles below are the earlier implementations, which derive every value
+from `SymForm.evaluate`/`contract` or `value_on_basis`, or re-index
+exponents directly. The new functions must agree with them exactly: the
+same witness tuple, the same booleans, the same matrix, the same form.
 """
 
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +34,7 @@ from symmetrizer.corpus import GeneratorError, GeneratorSpec, generate
 from symmetrizer.forms import (
     NotASymmetrizerError,
     SymForm,
+    alpha_factorial,
     basis_vector,
     compose_linear,
     enumerate_monomials,
@@ -113,6 +117,28 @@ def oracle_cross_block_check(F: SymForm, dec: STDecomposition) -> CheckResult:
 def oracle_jacobian_matrix(F: SymForm) -> Matrix:
     rows = [F.contract(basis_vector(F.nvars, i)).coeff_vector() for i in range(F.nvars)]
     return Matrix.from_rows(rows, monomial_count(F.nvars, F.degree - 1))
+
+
+def oracle_restrict_form(F: SymForm, basis) -> SymForm:
+    """F pulled back to the span of `basis`, written in those coordinates."""
+    dim, d = len(basis), F.degree
+    coeffs = {}
+    for gamma in enumerate_monomials(dim, d):
+        val = F.evaluate(*[basis[t] for t in monomial_slots(gamma)])
+        if val != 0:
+            coeffs[gamma] = val * Q(factorial(d), alpha_factorial(gamma))
+    return SymForm.from_coeffs(dim, d, coeffs)
+
+
+def oracle_embed_form(G: SymForm, nvars: int, offsets) -> SymForm:
+    """Re-index a block form into ambient variables via offsets."""
+    coeffs = {}
+    for gamma, c in G.terms:
+        alpha = [0] * nvars
+        for t, e in enumerate(gamma):
+            alpha[offsets[t]] = e
+        coeffs[tuple(alpha)] = c
+    return SymForm.from_coeffs(nvars, G.degree, coeffs)
 
 
 def oracle_fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceReport:
@@ -319,6 +345,8 @@ class TestAgainstOracles:
         if dec is not None:
             assert _cross_block_check(F, dec) == oracle_cross_block_check(F, dec)
             assert _cross_block_check(F, dec).status == "pass"
+            for blk in dec.blocks:
+                assert blk.form == oracle_restrict_form(F, blk.basis)
 
     @given(forms(), st.data())
     @settings(deadline=None, max_examples=40)
@@ -332,3 +360,37 @@ class TestAgainstOracles:
         expected = outcome(oracle_fiber_invariance_check, F, g)
         assert outcome(fiber_invariance_check, F, g) == expected
         assert outcome(fiber_invariance_check, F, g, A) == expected
+
+
+class TestRectangularComposeLinear:
+    """compose_linear(F, A) for an n × m matrix A against the restriction
+    to A's columns and, for rows of an identity, the re-embedding."""
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_restriction_to_columns(self, F, data):
+        n = F.nvars
+        m = data.draw(st.integers(1, n + 1))
+        cols = [data.draw(st.tuples(*[rationals] * n)) for _ in range(m)]
+        zero = data.draw(st.sets(st.integers(0, m - 1), max_size=m))
+        cols = [(Q(0),) * n if j in zero else c for j, c in enumerate(cols)]
+        A = Matrix.from_rows(cols, n).transpose()
+        G = compose_linear(F, A)
+        assert G.nvars == m
+        assert G == oracle_restrict_form(F, cols)
+        for j in zero:
+            assert all(alpha[j] == 0 for alpha in G.coeff_map)
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_embedding_by_identity_rows(self, F, data):
+        n = F.nvars
+        N = data.draw(st.integers(n, n + 3))
+        offsets = data.draw(st.permutations(range(N)))[:n]
+        A = Matrix(tuple(Matrix.identity(N).rows[o] for o in offsets), N)
+        assert compose_linear(F, A) == oracle_embed_form(F, N, offsets)
+
+    def test_row_count_must_match(self):
+        F = parse_poly("x0^3 + x1^3")
+        with pytest.raises(ValueError):
+            compose_linear(F, Matrix.identity(3))

@@ -200,11 +200,13 @@ class TestComposeLinear:
     @given(symforms(nvars=2), st.data())
     @settings(deadline=None, max_examples=30)
     def test_substitution_identity(self, F, data):
+        m = data.draw(st.integers(1, 3))
         A = Matrix.from_rows(
-            [[data.draw(st.integers(-3, 3)) for _ in range(2)] for _ in range(2)]
+            [[data.draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(2)]
         )
-        v = data.draw(rational_vectors(2))
+        v = data.draw(rational_vectors(m))
         G = compose_linear(F, A)
+        assert G.nvars == m
         assert G.polynomial_value(v) == F.polynomial_value(A.apply(v))
 
 
