@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import comb, gcd
+from operator import mul
 from typing import Sequence
 
 from .forms import (
@@ -37,17 +38,19 @@ from .forms import (
 from .linalg import (
     InvariantError,
     Matrix,
+    Span,
     Vec,
     coordinates_in_span,
     integer_row,
+    is_invertible,
     jordan_chevalley,
     minimal_polynomial,
     nilpotency_index,
     nullspace,
     poly_at_matrix,
+    rank_mod_p,
     row_space_basis,
     rref,
-    span_contains,
     span_equal,
 )
 from .polys import Poly, factor_rational, is_squarefree, poly_gcd
@@ -76,18 +79,27 @@ def constraint_matrix(F: SymForm) -> Matrix:
     The unknown g[k][i] sits at flat index k*n + i, so the row is row j
     of the Hessian slice H_beta at stride n from i, minus row i from j.
     """
-    n = F.nvars
-    den, slices = F.hessian_slices
+    den = F.hessian_slices[0]
     zero = Fraction(0)
+    rows = tuple(
+        tuple(Fraction(x, den) if x else zero for x in row) for row in _constraint_rows(F)
+    )
+    return Matrix(rows, F.nvars**2)
+
+
+def _constraint_rows(F: SymForm) -> list[list[int]]:
+    """The rows of constraint_matrix(F) times the table's denominator."""
+    n = F.nvars
+    slices = F.hessian_slices[1]
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for H in slices:
-                row = [zero] * (n * n)
-                row[i::n] = [Fraction(x, den) for x in H[j]]
-                row[j::n] = [Fraction(-x, den) for x in H[i]]
-                rows.append(tuple(row))
-    return Matrix(tuple(rows), n * n)
+                row = [0] * (n * n)
+                row[i::n] = H[j]
+                row[j::n] = [-x for x in H[i]]
+                rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -116,8 +128,13 @@ class SymmetrizerAlgebra:
     def flat_basis(self) -> list[Vec]:
         return [b.flatten() for b in self.basis]
 
+    @cached_property
+    def span(self) -> Span:
+        """The basis in echelon form, for membership tests."""
+        return Span(self.flat_basis(), self.form.nvars**2)
+
     def contains(self, g: Matrix) -> bool:
-        return span_contains(self.flat_basis(), g.flatten())
+        return self.span.contains(g.flatten())
 
     @cached_property
     def decomposition(self) -> STDecomposition | None:
@@ -138,7 +155,8 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     n = F.nvars
     vecs = nullspace(constraint_matrix(F))
     basis = tuple(Matrix.from_flat(n, v) for v in vecs)
-    if not span_contains(vecs, Matrix.identity(n).flatten()):
+    span = Span(vecs, n * n)
+    if not span.contains(Matrix.identity(n).flatten()):
         raise InvariantError("identity endomorphism missing from the algebra")
 
     if not is_nondegenerate(F):
@@ -154,7 +172,7 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
         # both parts are polynomials in b, so closure keeps them in g_F;
         # violation would mean the nullspace itself is wrong
         for part in (S, N):
-            if not span_contains(vecs, part.flatten()):
+            if not span.contains(part.flatten()):
                 raise InvariantError("semisimple/nilpotent part left the algebra")
         if nilpotency_index(N) is None:
             raise InvariantError("nilpotent part is not nilpotent")
@@ -204,20 +222,29 @@ class ClosureReport:
         return self.all_in_span and self.all_commute
 
 
+def _int_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Row-major flat product of two row-major flat integer n×n matrices."""
+    rows = [a[r * n:(r + 1) * n] for r in range(n)]
+    cols = [b[c::n] for c in range(n)]
+    return [sum(map(mul, row, col)) for row in rows for col in cols]
+
+
 def algebra_closure_check(A: SymmetrizerAlgebra) -> ClosureReport:
     """Verify products of basis elements stay in the span, and commute
-    when the form is nondegenerate."""
-    flats = A.flat_basis()
+    when the form is nondegenerate.
+
+    Each basis element is scaled to integers; the two products of a pair
+    carry the same scale, which neither membership nor equality sees."""
+    n = A.form.nvars
+    mats = [integer_row(b.flatten())[1] for b in A.basis]
     check_comm = A.nondegenerate
     pairs = []
-    for i, gi in enumerate(A.basis):
-        for j in range(i, len(A.basis)):
-            gj = A.basis[j]
-            prod = gi * gj
-            rev = prod if i == j else gj * gi
-            in_span = span_contains(flats, prod.flatten()) and (
-                rev == prod or span_contains(flats, rev.flatten())
-            )
+    for i, gi in enumerate(mats):
+        for j in range(i, len(mats)):
+            gj = mats[j]
+            prod = _int_product(gi, gj, n)
+            rev = prod if i == j else _int_product(gj, gi, n)
+            in_span = A.span.contains(prod) and (rev == prod or A.span.contains(rev))
             commutes = (prod == rev) if check_comm else None
             pairs.append(PairCheck(i, j, in_span, commutes))
     return ClosureReport(tuple(pairs))
@@ -518,7 +545,7 @@ def recover_symmetrizer(F: SymForm, Ft: SymForm) -> Matrix:
     for r, p in enumerate(pivots):
         rows[p] = red.rows[r][n:]
     g = Matrix.from_rows(rows)
-    if g.rank() != n:
+    if not is_invertible(g):
         raise InvariantError("fiber transport is singular")
     witness = symmetry_violation(F, g)
     if witness is not None:
@@ -540,32 +567,43 @@ class FiberInvarianceReport:
 
 
 def fiber_invariance_check(
-    F: SymForm, g: Matrix, algebra: SymmetrizerAlgebra | None = None
+    F: SymForm,
+    g: Matrix,
+    algebra: SymmetrizerAlgebra | None = None,
+    twisted: SymForm | None = None,
 ) -> FiberInvarianceReport:
     """Check that twisting by an invertible symmetrizer g preserves the
     symmetrizer algebra, transports Ker(∂F) by g^{-1}, and fixes the
     Jacobian image (the last only when defined).
 
-    `algebra` is g_F when the caller has it; for F^g only the null space
-    of its constraint system is computed, with no semisimple split."""
+    `algebra` is g_F and `twisted` is F^g when the caller has them. The
+    algebras agree when every basis element of g_F symmetrizes F^g and
+    the constraint rows of F^g have rank mod P at least n² − dim g_F,
+    which bounds dim g_{F^g} by dim g_F; when either proof falls short,
+    g_{F^g} is computed exactly and compared."""
     witness = symmetry_violation(F, g)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
     n = F.nvars
-    if g.rank() != n:
+    if not is_invertible(g):
         raise ValueError("twisting element must be invertible")
-    Fg = twist(F, g, check=False)
+    Fg = twisted if twisted is not None else twist(F, g, check=False)
 
     A = algebra if algebra is not None else symmetrizer_algebra(F)
-    span_Fg = nullspace(constraint_matrix(Fg))
-    algebra_match = span_equal(A.flat_basis(), span_Fg, width=n * n)
+    algebra_match = (
+        all(symmetry_violation(Fg, b) is None for b in A.basis)
+        and rank_mod_p(_constraint_rows(Fg), n * n) >= n * n - A.span.dim
+    ) or span_equal(A.flat_basis(), nullspace(constraint_matrix(Fg)), width=n * n)
 
     kernel_F = jacobian_kernel(F)
-    ginv = g.inverse()
-    transported = [ginv.apply(v) for v in kernel_F]
-    kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
-
-    grassmann_match = None if kernel_F else grassmann_point(F) == grassmann_point(Fg)
+    if kernel_F:
+        ginv = g.inverse()
+        transported = [ginv.apply(v) for v in kernel_F]
+        kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
+        return FiberInvarianceReport(algebra_match, kernel_match, None)
+    # Ker(∂F) = 0 is transported onto Ker(∂F^g) iff that is 0 too
+    kernel_match = not jacobian_kernel(Fg)
+    grassmann_match = grassmann_point(F) == grassmann_point(Fg)
     return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
 
 
@@ -576,18 +614,24 @@ def sample_invertible_symmetrizers(
     count: int = 20,
 ) -> list[Matrix]:
     """Deterministic invertible elements of g_F: seeded integer
-    combinations of the basis, keeping the invertible ones."""
+    combinations of the basis, keeping the invertible ones. The
+    combinations are taken of the basis scaled to integers over one
+    common denominator, and full rank mod P certifies most of them."""
     A = algebra if algebra is not None else symmetrizer_algebra(F)
     n = F.nvars
+    den, ints = integer_row([e for b in A.basis for e in b.flatten()])
+    flats = [ints[k:k + n * n] for k in range(0, len(ints), n * n)]
+    cols = list(zip(*flats))  # entry k of every basis element
     rng = SplitMix64(seed)
     out: list[Matrix] = []
     for _ in range(64 * count):
         if len(out) >= count:
             break
-        g = Matrix.zeros(n)
-        for b in A.basis:
-            g = g + rng.int_in(-5, 5) * b
-        if g.rank() == n:
+        coeffs = [rng.int_in(-5, 5) for _ in flats]
+        flat = [sum(map(mul, coeffs, col)) for col in cols]
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        g = Matrix(tuple(tuple(Fraction(x, den) for x in row) for row in rows), n)
+        if rank_mod_p(rows, n) == n or g.rank() == n:
             out.append(g)
     if not out:
         out.append(Matrix.identity(n))
@@ -679,15 +723,19 @@ def check_identities(
     ]
     out["group_products"] = _passfail(not bad_prod, f"product fails at samples {bad_prod}")
 
-    fiber_bad = []
-    for i, g in enumerate(gs[: min(len(gs), 5)]):
-        if not fiber_invariance_check(F, g, algebra=A).ok:
-            fiber_bad.append(i)
+    # each sample is twisted once; the fiber and roundtrip checks share
+    # the twisted forms, with their cached tables and Jacobians
+    twisted = [twist(F, g, check=False) for g in (gs if nondeg else gs[:5])]
+    fiber_bad = [
+        i
+        for i, (g, Fg) in enumerate(zip(gs[:5], twisted))
+        if not fiber_invariance_check(F, g, algebra=A, twisted=Fg).ok
+    ]
     out["fiber_invariance"] = _passfail(not fiber_bad, f"failed at samples {fiber_bad}")
 
     if nondeg:
         rt_bad = [
-            i for i, g in enumerate(gs) if recover_symmetrizer(F, twist(F, g, check=False)) != g
+            i for i, (g, Fg) in enumerate(zip(gs, twisted)) if recover_symmetrizer(F, Fg) != g
         ]
         out["twist_roundtrip"] = _passfail(not rt_bad, f"failed at samples {rt_bad}")
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -339,9 +340,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token that starts with '-', holds no space and is not a
+# number as an option, so it would refuse a polynomial with a leading minus
+# sign, such as '-x0^3+x1^3'. Such a token after analyze, check or recover
+# (and before any '--') gets a leading space, which argparse reads as a
+# positional; the space comes off again after parsing. Options keep
+# working: '-h' and '--...' never match, nor does a negative number.
+_LEADING_MINUS = re.compile(r"-[^-h]")
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_POLY_COMMANDS = ("analyze", "check", "recover")
+_POLY_DESTS = ("poly", "poly_from", "poly_to")
+
+
+def _shield_leading_minus(argv: list[str]) -> tuple[list[str], set[str]]:
+    """(argv with each leading-minus polynomial shielded, the shielded tokens)."""
+    if not argv or argv[0] not in _POLY_COMMANDS:
+        return argv, set()
+    out, shielded = argv[:1], set()
+    for k, token in enumerate(argv[1:], start=1):
+        if token == "--":
+            return out + argv[k:], shielded
+        if _LEADING_MINUS.match(token) and not _NEGATIVE_NUMBER.match(token):
+            token = " " + token
+            shielded.add(token)
+        out.append(token)
+    return out, shielded
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv, shielded = _shield_leading_minus(
+        list(sys.argv[1:] if argv is None else argv)
+    )
     args = parser.parse_args(argv)
+    for dest in _POLY_DESTS:
+        if getattr(args, dest, None) in shielded:
+            setattr(args, dest, getattr(args, dest)[1:])
     try:
         return args.func(args)
     except (ParseError, GeneratorError) as exc:

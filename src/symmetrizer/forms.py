@@ -10,7 +10,7 @@ the Hessian slices H_beta[k][j] = F(e_k, e_j, e^beta), one per degree-(d-2)
 monomial beta, as integers over a common denominator. g is in g_F iff
 every g^T H_beta is symmetric, the constraint rows of g_F are the table's
 entries, and a pairing F(u, w, e^beta) is u^T H_beta w. The Jacobian
-matrix is cached on the form as well.
+matrix and its reduced echelon form are cached on the form as well.
 
 Degree and variable-count constraints of the application domain (d >= 3,
 n >= 2) are enforced at the generation and parsing boundary, not here:
@@ -183,6 +183,11 @@ class SymForm:
         rows = [self.contract(basis_vector(n, i)).coeff_vector() for i in range(n)]
         return Matrix.from_rows(rows, monomial_count(n, self.degree - 1))
 
+    @cached_property
+    def jacobian_rref(self) -> tuple[Matrix, tuple[int, ...], int]:
+        """rref of the Jacobian matrix: (reduced matrix, pivots, rank)."""
+        return rref(self.jacobian)
+
     def coefficient(self, alpha: Exponents) -> Fraction:
         return self.coeff_map.get(tuple(alpha), Fraction(0))
 
@@ -319,7 +324,10 @@ def jacobian_matrix(F: SymForm) -> Matrix:
 
 
 def jacobian_kernel(F: SymForm) -> list[Vec]:
-    """Basis of Ker(∂F) = directions u with F(u, ., ..., .) = 0."""
+    """Basis of Ker(∂F) = directions u with F(u, ., ..., .) = 0; empty,
+    with no elimination, when the cached Jacobian rank is full."""
+    if F.jacobian_rref[2] == F.nvars:
+        return []
     return nullspace(jacobian_matrix(F).transpose())
 
 
@@ -332,8 +340,7 @@ def grassmann_point(F: SymForm) -> GrassmannPoint:
 
     Only defined away from cones, so degenerate forms are refused.
     """
-    J = jacobian_matrix(F)
-    red, _, rank = rref(J)
+    red, _, rank = F.jacobian_rref
     if rank != F.nvars:
         raise DegenerateFormError(
             "form is degenerate; Im(∂F) has positive-dimensional kernel",

@@ -15,7 +15,17 @@ So no intermediate entry exceeds the largest minor of order at most
 rank+1, the bound Bareiss's elimination also obeys. `Matrix.__mul__`
 scales each row of the left factor and each column of the right factor
 to integers and builds one Fraction per entry from an integer dot
-product.
+product. `Span` keeps a family's integer echelon rows, so that repeated
+membership tests against one family reduce each vector once.
+
+Rank lower bounds come from one fixed prime P. Scaled to integers, a
+matrix has a nonzero (r × r) minor exactly when its rank over the
+rationals is at least r; that minor is an integer, and if it is nonzero
+mod P it is nonzero. So the rank mod P of the integer rows never exceeds
+the rank over the rationals, and `rank_mod_p` reaching a bound proves
+the bound (the certificate of Dixon's modular method). It can only fall
+short, when P divides every such minor; callers then run the exact
+elimination, so every answer is exact and none depends on P.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ from typing import Iterable, Sequence
 from .polys import Poly, squarefree_part
 
 Vec = tuple[Fraction, ...]
+
+P = 2**61 - 1  # the prime of the modular rank certificates
 
 
 class InvariantError(RuntimeError):
@@ -204,6 +216,36 @@ class Matrix:
         ) + "]"
 
 
+def rank_mod_p(int_rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank mod P of integer rows of width ncols: a lower bound on their
+    rank over the rationals (see the module docstring)."""
+    # (c, row): the row is 0 before column c, 1 at c, and 0 at the columns
+    # of the earlier pivots, so reducing in this order refills no column
+    pivots: list[tuple[int, list[int]]] = []
+    for row in int_rows:
+        row = [x % P for x in row]
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                row[c:] = [(x - f * y) % P for x, y in zip(row[c:], prow[c:])]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            inv = pow(row[c], -1, P)
+            pivots.append((c, [x * inv % P for x in row]))
+            if len(pivots) == ncols:
+                break
+    return len(pivots)
+
+
+def is_invertible(M: Matrix) -> bool:
+    """Exact invertibility of a square matrix: full rank mod P certifies
+    it, and only when that falls short does the exact rank decide."""
+    if not M.is_square:
+        return False
+    n = M.nrows
+    return rank_mod_p([integer_row(r)[1] for r in M.rows], n) == n or M.rank() == n
+
+
 def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
     """a*row - b*prow with the smallest integers a, b that zero column c."""
     g = gcd(prow[c], row[c])
@@ -300,19 +342,34 @@ def row_space_basis(vectors: Sequence[Vec], width: int | None = None) -> list[Ve
     return [red.rows[i] for i in range(rank)]
 
 
+class Span:
+    """The span of a family of vectors of width ncols, reduced to integer
+    echelon form once, so that each membership test is one reduction."""
+
+    def __init__(self, vectors: Sequence[Sequence], ncols: int):
+        if any(len(u) != ncols for u in vectors):
+            raise ValueError("ragged rows")
+        self.ncols = ncols
+        rows, pivots = _echelon(vectors, ncols)
+        self._rows = list(zip(rows, pivots))
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def contains(self, v: Sequence) -> bool:
+        """Whether v (rational or integer entries) lies in the span."""
+        if len(v) != self.ncols:
+            raise ValueError("ragged rows")
+        _, w = integer_row(v)
+        for row, c in self._rows:
+            if w[c]:
+                w = _eliminate(w, row, c)
+        return not any(w)
+
+
 def span_contains(vectors: Sequence[Vec], v: Vec) -> bool:
-    if vec_is_zero(v):
-        return True
-    if not vectors:
-        return False
-    if any(len(u) != len(v) for u in vectors):
-        raise ValueError("ragged rows")
-    rows, pivots = _echelon(vectors, len(v))
-    _, w = integer_row(v)
-    for row, c in zip(rows, pivots):
-        if w[c]:
-            w = _eliminate(w, row, c)
-    return not any(w)
+    return Span(vectors, len(v)).contains(v)
 
 
 def span_equal(a: Sequence[Vec], b: Sequence[Vec], width: int | None = None) -> bool:

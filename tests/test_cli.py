@@ -358,3 +358,54 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--samples" in captured.err
+
+
+class TestLeadingMinus:
+    """A polynomial may begin with '-' and hold no space; argparse alone
+    would read it as an unknown option."""
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_runs_like_the_dashdash_form(self, capsys, command):
+        poly = "-x0^3+x1^3"
+        direct = run(capsys, command, poly, "--samples", "2")
+        assert direct[0] == 0
+        assert json.loads(direct[1])["polynomial"] == "-1*x0^3 + x1^3"
+        assert direct == run(capsys, command, "--samples", "2", "--", poly)
+        assert direct == run(capsys, command, "-x0^3 + x1^3", "--samples", "2")
+
+    def test_recover_takes_two(self, capsys):
+        code, out, _ = run_json(capsys, "recover", "-x0^3+x1^3", "-8*x0^3+x1^3")
+        assert code == 0
+        assert out["matrix"] == [["8", "0"], ["0", "1"]]
+
+    def test_coefficients_and_option_values(self, capsys):
+        code, report, _ = run_json(
+            capsys, "analyze", "-1/2*x0^3+x1^3", "--seed", "-3", "--nvars", "3"
+        )
+        assert code == 0
+        assert (report["polynomial"], report["nvars"]) == ("-1/2*x0^3 + x1^3", 3)
+
+    def test_parse_error_positions_refer_to_the_text_given(self, capsys):
+        code, out, err = run(capsys, "analyze", "-2x")
+        assert (code, out) == (2, "")
+        assert err == "input error: unexpected character 'x' (at position 2)\n"
+
+    def test_help_still_works(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: symmetrizer analyze")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "x0^3+x1^3", "--bogus"], "unrecognized arguments: --bogus"),
+            (["check", "-x0^3", "-x1^3"], "unrecognized arguments:  -x1^3"),
+            (["generate", "-x0^3"], "the following arguments are required"),
+        ],
+    )
+    def test_argparse_errors_remain(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

@@ -1,5 +1,5 @@
-"""The Hessian-slice evaluators and the linear substitution against the
-implementations they replaced.
+"""The Hessian-slice evaluators, the linear substitution and the identity
+suite's reuse against the implementations they replaced.
 
 `symmetry_violation`, `constraint_matrix`, `kernel_image_vanishing`, the
 cross-block check and `jacobian_matrix` read the per-form tables cached on
@@ -7,9 +7,14 @@ cross-block check and `jacobian_matrix` read the per-form tables cached on
 restriction and re-embedding that `st_decompose` and the corpus used. The
 oracles below are the earlier implementations, which derive every value
 from `SymForm.evaluate`/`contract` or `value_on_basis`, or re-index
-exponents directly. The new functions must agree with them exactly: the
-same witness tuple, the same booleans, the same matrix, the same form.
+exponents directly. The sampler, the closure check and the fiber check
+now work on integer matrices and prove ranks mod a prime; their oracles
+are the Fraction versions with exact ranks and null spaces. The new
+functions must agree with them exactly: the same witness tuple, the same
+booleans, the same matrix, the same form, the same report.
 """
+
+import dataclasses
 
 from fractions import Fraction as Q
 from math import factorial
@@ -18,15 +23,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from symmetrizer import algebra, linalg
 from symmetrizer.algebra import (
     CheckResult,
+    ClosureReport,
     FiberInvarianceReport,
+    PairCheck,
     STBlock,
     STDecomposition,
     _cross_block_check,
+    algebra_closure_check,
     constraint_matrix,
     fiber_invariance_check,
     kernel_image_vanishing,
+    sample_invertible_symmetrizers,
     st_decompose,
     symmetrizer_algebra,
 )
@@ -48,9 +58,10 @@ from symmetrizer.forms import (
     symmetry_violation,
     twist,
 )
-from symmetrizer.linalg import Matrix, nullspace, row_space_basis, span_equal
+from symmetrizer.linalg import Matrix, nullspace, row_space_basis, rref, span_equal
 from symmetrizer.polys import Poly
 from symmetrizer.polytext import parse_poly
+from symmetrizer.rng import SplitMix64
 
 # ---------------------------------------------------------------------------
 # Oracles: the contraction-based evaluators, as they were before the table.
@@ -160,6 +171,62 @@ def oracle_fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceRepor
         grassmann_point(F) == grassmann_point(Fg) if is_nondegenerate(F) else None
     )
     return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
+
+
+def oracle_nullspace_fiber_invariance_check(
+    F: SymForm, g: Matrix, A
+) -> FiberInvarianceReport:
+    """g_{F^g} as an exact null space, compared with the given algebra's
+    span; exact rank, a twist per call, and g^{-1} always."""
+    witness = oracle_symmetry_violation(F, g)
+    if witness is not None:
+        raise NotASymmetrizerError(*witness)
+    n = F.nvars
+    if g.rank() != n:
+        raise ValueError("twisting element must be invertible")
+    Fg = twist(F, g, check=False)
+    span_Fg = nullspace(constraint_matrix(Fg))
+    algebra_match = span_equal(A.flat_basis(), span_Fg, width=n * n)
+    kernel_F = jacobian_kernel(F)
+    ginv = g.inverse()
+    transported = [ginv.apply(v) for v in kernel_F]
+    kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
+    grassmann_match = None if kernel_F else grassmann_point(F) == grassmann_point(Fg)
+    return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
+
+
+def oracle_sample_invertible_symmetrizers(F, A, seed, count) -> list[Matrix]:
+    """Fraction combinations of the basis, each tested by an exact rank."""
+    n = F.nvars
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(64 * count):
+        if len(out) >= count:
+            break
+        g = Matrix.zeros(n)
+        for b in A.basis:
+            g = g + rng.int_in(-5, 5) * b
+        if g.rank() == n:
+            out.append(g)
+    if not out:
+        out.append(Matrix.identity(n))
+    return out
+
+
+def oracle_algebra_closure_check(A) -> ClosureReport:
+    """Fraction products, each tested by exact ranks of the whole basis."""
+    flats = A.flat_basis()
+    width = A.form.nvars ** 2
+    rank = lambda vs: Matrix.from_rows(vs, width).rank()
+    in_span = lambda v: rank(flats + [v]) == rank(flats)
+    pairs = []
+    for i, gi in enumerate(A.basis):
+        for j in range(i, len(A.basis)):
+            prod, rev = gi * A.basis[j], A.basis[j] * gi
+            ok = in_span(prod.flatten()) and in_span(rev.flatten())
+            commutes = (prod == rev) if A.nondegenerate else None
+            pairs.append(PairCheck(i, j, ok, commutes))
+    return ClosureReport(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +461,103 @@ class TestRectangularComposeLinear:
         F = parse_poly("x0^3 + x1^3")
         with pytest.raises(ValueError):
             compose_linear(F, Matrix.identity(3))
+
+
+class TestIdentitySuiteReuse:
+    """Integer sampling, integer closure and the mod-P fiber proofs give
+    exactly what the Fraction and null-space versions gave."""
+
+    @given(forms(), st.integers(0, 50), st.integers(1, 8))
+    @settings(deadline=None, max_examples=60)
+    def test_samples_and_their_order(self, F, seed, count):
+        A = symmetrizer_algebra(F)
+        got = sample_invertible_symmetrizers(F, A, seed=seed, count=count)
+        assert got == oracle_sample_invertible_symmetrizers(F, A, seed, count)
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_closure_report(self, F, data):
+        A = symmetrizer_algebra(F)
+        assert algebra_closure_check(A) == oracle_algebra_closure_check(A)
+        # families that are not closed: products leave the span, and need
+        # not commute; with scaled matrix units such as {E11, E12, E21},
+        # E12·E21 = E11 stays in the span while E21·E12 = E22 leaves it
+        n = F.nvars
+        k = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            entries = lambda r, c: data.draw(rationals)
+        else:
+            units = [divmod(data.draw(st.integers(0, n * n - 1)), n) for _ in range(k)]
+            entries = lambda r, c: data.draw(nonzero_rationals) if (r, c) == units[t] else 0
+        basis = []
+        for t in range(k):
+            basis.append(Matrix.from_rows([[entries(r, c) for c in range(n)] for r in range(n)]))
+        B = dataclasses.replace(A, basis=tuple(basis))
+        assert algebra_closure_check(B) == oracle_algebra_closure_check(B)
+
+    def test_closure_checks_both_products(self):
+        A = symmetrizer_algebra(parse_poly("x0^3 + x1^3"))
+        units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+        B = dataclasses.replace(A, basis=tuple(Matrix.from_rows(u) for u in units))
+        report = algebra_closure_check(B)
+        assert report == oracle_algebra_closure_check(B)
+        assert [p.product_in_span for p in report.pairs if (p.i, p.j) == (1, 2)] == [False]
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_fiber_report(self, F, data):
+        n = F.nvars
+        A = symmetrizer_algebra(F)
+        g = data.draw(endomorphisms(F, A)) + data.draw(nonzero_rationals) * Matrix.identity(n)
+        if symmetry_violation(F, g) is None:
+            assume(g.rank() == n)
+        expected = outcome(oracle_nullspace_fiber_invariance_check, F, g, A)
+        assert outcome(fiber_invariance_check, F, g, A) == expected
+        if expected[0] == "ok":
+            Fg = twist(F, g, check=False)
+            assert outcome(fiber_invariance_check, F, g, A, Fg) == expected
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_fiber_report_against_a_wrong_algebra(self, F, data):
+        """Both proofs fail or fall short, so the exact comparison decides."""
+        n = F.nvars
+        A = symmetrizer_algebra(F)
+        g = data.draw(endomorphisms(F, A)) + data.draw(nonzero_rationals) * Matrix.identity(n)
+        assume(symmetry_violation(F, g) is None and g.rank() == n)
+        dropped = dataclasses.replace(A, basis=A.basis[1:])
+        extra = dataclasses.replace(
+            A, basis=A.basis + (data.draw(endomorphisms(F, A)),)
+        )
+        for B in (dropped, extra):
+            assert fiber_invariance_check(F, g, B) == oracle_nullspace_fiber_invariance_check(
+                F, g, B
+            )
+
+    @given(forms(), st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_fiber_fallback_gives_the_same_report(self, F, data):
+        """With no certificate at all the exact null space decides, unless
+        g_F is all of End(V), where the bound n² − dim g_F = 0 holds."""
+        n = F.nvars
+        A = symmetrizer_algebra(F)
+        g = data.draw(endomorphisms(F, A)) + data.draw(nonzero_rationals) * Matrix.identity(n)
+        assume(symmetry_violation(F, g) is None and g.rank() == n)
+        expected = fiber_invariance_check(F, g, A)
+        solves = []
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (algebra, linalg):
+                mp.setattr(module, "rank_mod_p", lambda rows, ncols: 0)
+            mp.setattr(algebra, "nullspace", lambda M: solves.append(M) or nullspace(M))
+            assert fiber_invariance_check(F, g, A) == expected
+        assert len(solves) == (A.span.dim < n * n)
+        assert expected == oracle_nullspace_fiber_invariance_check(F, g, A)
+
+    @given(forms())
+    @settings(deadline=None, max_examples=60)
+    def test_jacobian_kernel_and_point(self, F):
+        J = oracle_jacobian_matrix(F)
+        assert jacobian_kernel(F) == nullspace(J.transpose())
+        if jacobian_kernel(F):
+            return
+        assert grassmann_point(F).basis == rref(J)[0]

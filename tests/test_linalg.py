@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symmetrizer import linalg
 from symmetrizer.linalg import (
+    P,
     Matrix,
+    Span,
     coordinates_in_span,
+    integer_row,
+    is_invertible,
     jordan_chevalley,
     minimal_polynomial,
     nilpotency_index,
     nullspace,
     poly_at_matrix,
+    rank_mod_p,
     rref,
     solve,
     span_contains,
@@ -320,3 +326,74 @@ class TestIntegerKernelsMatchOracles:
         A = M([Q(-3, 65537), Q(1, 7), 0], [Q(2, 1000003), Q(-5, 97), Q(1, 2)])
         assert rref(A) == oracle_rref(A)
         assert A * A.transpose() == oracle_product(A, A.transpose())
+
+
+# Integer entries that vanish or coincide mod P, so that ranks mod P can
+# fall below ranks over the rationals.
+modular_ints = st.sampled_from([0, 1, -1, 2, P, -P, 2 * P, P + 1, P - 1, 3 * P + 2])
+
+
+@st.composite
+def modular_matrices(draw, nrows=None, ncols=None):
+    n = draw(st.integers(0, 5)) if nrows is None else nrows
+    m = draw(st.integers(0, 5)) if ncols is None else ncols
+    return Matrix.from_rows([[draw(modular_ints) for _ in range(m)] for _ in range(n)], m)
+
+
+def int_rows(A: Matrix) -> list[list[int]]:
+    return [integer_row(r)[1] for r in A.rows]
+
+
+class TestModularCertificates:
+    """rank_mod_p bounds the rank from below; is_invertible and Span are
+    exact whatever the residues mod P."""
+
+    @given(st.one_of(rational_matrices(), modular_matrices()))
+    @settings(deadline=None, max_examples=200)
+    def test_rank_mod_p_is_a_lower_bound(self, A):
+        assert rank_mod_p(int_rows(A), A.ncols) <= oracle_rref(A)[2]
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.one_of(rational_matrices(n, n), modular_matrices(n, n))
+    ))
+    @settings(deadline=None, max_examples=200)
+    def test_is_invertible(self, A):
+        assert is_invertible(A) == (oracle_rref(A)[2] == A.nrows)
+
+    def test_singular_mod_p_takes_the_exact_fallback(self, monkeypatch):
+        calls = []
+        exact_rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda A: calls.append(A) or exact_rref(A))
+        D = M([P, 0], [0, 1])
+        assert rank_mod_p(int_rows(D), 2) == 1
+        assert is_invertible(D) and len(calls) == 1
+        assert not is_invertible(M([P, 0], [0, 0])) and len(calls) == 2
+        assert is_invertible(Matrix.identity(3)) and len(calls) == 2
+
+    def test_shapes(self):
+        assert not is_invertible(M([1, 0, 0], [0, 1, 0]))
+        assert rank_mod_p([], 3) == 0
+        assert rank_mod_p([[0, 0], [P, 2 * P]], 2) == 0
+        assert rank_mod_p([[1, 2], [3, 4], [5, 6]], 2) == 2
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_span_matches_oracle(self, data):
+        width = data.draw(st.integers(1, 6))
+        vectors = data.draw(rational_matrices(ncols=width)).rows
+        span = Span(vectors, width)
+        assert span.dim == oracle_rref(Matrix(tuple(vectors), width))[2]
+        for _ in range(3):
+            v = data.draw(rational_matrices(nrows=1, ncols=width)).rows[0]
+            assert span.contains(v) == oracle_span_contains(vectors, v)
+            # membership is scale-invariant, so integer rows test the same
+            assert span.contains(integer_row(v)[1]) == span.contains(v)
+        for u in vectors:
+            assert span.contains(u)
+
+    def test_span_widths(self):
+        assert Span([], 2).dim == 0 and Span([], 2).contains((0, 0))
+        with pytest.raises(ValueError):
+            Span([vector([1, 0])], 3)
+        with pytest.raises(ValueError):
+            Span([vector([1, 0])], 2).contains(vector([1, 0, 0]))

@@ -1,6 +1,7 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
-exists on the engine, and no small command line ends outside the
-documented exit codes."""
+exists on the engine, no small command line ends outside the documented
+exit codes, and a fixed set of command lines prints exactly the recorded
+golden outputs."""
 
 import contextlib
 import importlib
@@ -17,6 +18,14 @@ from hypothesis import strategies as st
 from symmetrizer import cli
 
 EXIT_CODES = {0, 2, 3, 4, 5}
+
+# Recorded command lines with their exit code, stdout and stderr: one pass
+# over the 15 analyze_grid cells, one 20-spec census chunk and five
+# recover pairs, the inputs of perfbench/workloads.py at seed 1. A change
+# that keeps every output must keep these bytes. After an intended output
+# change, rewrite the expectations with `PYTHONPATH=src python
+# tests/test_tooling.py` and review the diff.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 
 def _traced_layers() -> tuple[str, ...]:
@@ -45,6 +54,7 @@ def test_traced_layer_exists(layer):
 # CLI fuzz: variables x0..x2, degree at most 4, one sampled symmetrizer.
 
 COEFFICIENTS = ["", "2*", "-1*", "1/2*", "0*", "-3/4*"]
+SEPARATORS = [" + ", " - ", "+", "-"]
 
 
 @st.composite
@@ -57,8 +67,9 @@ def poly_texts(draw):
         slots = draw(st.lists(st.integers(0, 2), min_size=degree, max_size=degree))
         factors = "*".join(f"x{i}^{slots.count(i)}" for i in sorted(set(slots)))
         terms.append(draw(st.sampled_from(COEFFICIENTS)) + factors)
-    signs = [draw(st.sampled_from([" + ", " - "])) for _ in terms[1:]]
-    return terms[0] + "".join(s + t for s, t in zip(signs, terms[1:]))
+    signs = [draw(st.sampled_from(SEPARATORS)) for _ in terms[1:]]
+    lead = draw(st.sampled_from(["", "", "-"]))
+    return lead + terms[0] + "".join(s + t for s, t in zip(signs, terms[1:]))
 
 
 @st.composite
@@ -114,24 +125,54 @@ def invocations(draw):
     return argv, None
 
 
-def exit_code(argv, stdin) -> int:
-    """main's return value or argparse's SystemExit code; any other
-    exception escapes and fails the test."""
+def invoke(argv, stdin=None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one call: main's return value or
+    argparse's SystemExit code; any other exception escapes and fails the
+    test."""
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin or "")
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                return cli.main(argv)
+                code = cli.main(argv)
             except SystemExit as exc:
-                return exc.code
+                code = exc.code
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 @given(invocations())
 @settings(deadline=None, max_examples=60)
 def test_every_small_invocation_ends_in_a_documented_exit_code(invocation):
     argv, stdin = invocation
-    assert exit_code(argv, stdin) in EXIT_CODES
+    assert invoke(argv, stdin)[0] in EXIT_CODES
+
+
+@given(poly_texts().map(lambda text: "-" + text.lstrip("-")))
+@settings(deadline=None, max_examples=30)
+def test_leading_minus_polynomial_reads_as_after_dashdash(text):
+    assert invoke(["analyze", text, "--samples", "1"]) == invoke(
+        ["analyze", "--samples", "1", "--", text]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs
+
+GOLDEN_CASES = json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN_CASES)]
+)
+def test_golden_output(case):
+    expected = (case["exit"], case["stdout"], case["stderr"])
+    assert invoke(case["argv"], case.get("stdin")) == expected
+
+
+if __name__ == "__main__":
+    for case in GOLDEN_CASES:
+        case["exit"], case["stdout"], case["stderr"] = invoke(case["argv"], case.get("stdin"))
+    GOLDEN.write_text(json.dumps(GOLDEN_CASES, indent=1) + "\n")
