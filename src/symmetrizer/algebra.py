@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import comb, gcd
-from operator import mul
+from math import comb
 from typing import Sequence
 
 from .forms import (
@@ -41,7 +40,6 @@ from .linalg import (
     Span,
     Vec,
     coordinates_in_span,
-    integer_row,
     is_invertible,
     jordan_chevalley,
     minimal_polynomial,
@@ -50,7 +48,7 @@ from .linalg import (
     poly_at_matrix,
     rank_mod_p,
     row_space_basis,
-    rref,
+    solve_matrix,
     span_equal,
 )
 from .polys import Poly, factor_rational, is_squarefree, poly_gcd
@@ -77,20 +75,11 @@ def constraint_matrix(F: SymForm) -> Matrix:
     already symmetric in slots 2..d, this single swap is equivalent to
     symmetry under every permutation, so the nullspace is exactly g_F.
     The unknown g[k][i] sits at flat index k*n + i, so the row is row j
-    of the Hessian slice H_beta at stride n from i, minus row i from j.
+    of the Hessian slice H_beta at stride n from i, minus row i from j,
+    over the table's denominator.
     """
-    den = F.hessian_slices[0]
-    zero = Fraction(0)
-    rows = tuple(
-        tuple(Fraction(x, den) if x else zero for x in row) for row in _constraint_rows(F)
-    )
-    return Matrix(rows, F.nvars**2)
-
-
-def _constraint_rows(F: SymForm) -> list[list[int]]:
-    """The rows of constraint_matrix(F) times the table's denominator."""
     n = F.nvars
-    slices = F.hessian_slices[1]
+    den, slices = F.hessian_slices
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -98,8 +87,8 @@ def _constraint_rows(F: SymForm) -> list[list[int]]:
                 row = [0] * (n * n)
                 row[i::n] = H[j]
                 row[j::n] = [-x for x in H[i]]
-                rows.append(row)
-    return rows
+                rows.append(tuple(row))
+    return Matrix(tuple(rows), den, n * n)
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,6 @@ class SymmetrizerAlgebra:
 
     form: SymForm
     basis: tuple[Matrix, ...]
-    contains_identity: bool
     semisimple_parts: tuple[Matrix, ...] | None
     nilpotent_parts: tuple[Matrix, ...] | None
     unipotent_basis: tuple[Matrix, ...] | None
@@ -131,10 +119,10 @@ class SymmetrizerAlgebra:
     @cached_property
     def span(self) -> Span:
         """The basis in echelon form, for membership tests."""
-        return Span(self.flat_basis(), self.form.nvars**2)
+        return Span([b.flat_ints() for b in self.basis], self.form.nvars**2)
 
     def contains(self, g: Matrix) -> bool:
-        return self.span.contains(g.flatten())
+        return self.span.contains(g.flat_ints())
 
     @cached_property
     def decomposition(self) -> STDecomposition | None:
@@ -156,12 +144,12 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     vecs = nullspace(constraint_matrix(F))
     basis = tuple(Matrix.from_flat(n, v) for v in vecs)
     span = Span(vecs, n * n)
-    if not span.contains(Matrix.identity(n).flatten()):
+    if not span.contains(Matrix.identity(n).flat_ints()):
         raise InvariantError("identity endomorphism missing from the algebra")
 
     if not is_nondegenerate(F):
         return SymmetrizerAlgebra(
-            form=F, basis=basis, contains_identity=True,
+            form=F, basis=basis,
             semisimple_parts=None, nilpotent_parts=None, unipotent_basis=None,
             dim_total=len(basis), dim_torus=None, dim_unipotent=None,
         )
@@ -172,7 +160,7 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
         # both parts are polynomials in b, so closure keeps them in g_F;
         # violation would mean the nullspace itself is wrong
         for part in (S, N):
-            if not span.contains(part.flatten()):
+            if not span.contains(part.flat_ints()):
                 raise InvariantError("semisimple/nilpotent part left the algebra")
         if nilpotency_index(N) is None:
             raise InvariantError("nilpotent part is not nilpotent")
@@ -186,7 +174,7 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     if dim_torus < 0:
         raise InvariantError("split dimensions exceed the algebra dimension")
     return SymmetrizerAlgebra(
-        form=F, basis=basis, contains_identity=True,
+        form=F, basis=basis,
         semisimple_parts=tuple(sems), nilpotent_parts=tuple(nils),
         unipotent_basis=unipotent,
         dim_total=len(basis), dim_torus=dim_torus, dim_unipotent=dim_unip,
@@ -222,29 +210,17 @@ class ClosureReport:
         return self.all_in_span and self.all_commute
 
 
-def _int_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Row-major flat product of two row-major flat integer n×n matrices."""
-    rows = [a[r * n:(r + 1) * n] for r in range(n)]
-    cols = [b[c::n] for c in range(n)]
-    return [sum(map(mul, row, col)) for row in rows for col in cols]
-
-
 def algebra_closure_check(A: SymmetrizerAlgebra) -> ClosureReport:
     """Verify products of basis elements stay in the span, and commute
-    when the form is nondegenerate.
-
-    Each basis element is scaled to integers; the two products of a pair
-    carry the same scale, which neither membership nor equality sees."""
-    n = A.form.nvars
-    mats = [integer_row(b.flatten())[1] for b in A.basis]
+    when the form is nondegenerate."""
+    basis = A.basis
     check_comm = A.nondegenerate
     pairs = []
-    for i, gi in enumerate(mats):
-        for j in range(i, len(mats)):
-            gj = mats[j]
-            prod = _int_product(gi, gj, n)
-            rev = prod if i == j else _int_product(gj, gi, n)
-            in_span = A.span.contains(prod) and (rev == prod or A.span.contains(rev))
+    for i, gi in enumerate(basis):
+        for j in range(i, len(basis)):
+            prod = gi * basis[j]
+            rev = prod if i == j else basis[j] * gi
+            in_span = A.contains(prod) and (rev == prod or A.contains(rev))
             commutes = (prod == rev) if check_comm else None
             pairs.append(PairCheck(i, j, in_span, commutes))
     return ClosureReport(tuple(pairs))
@@ -288,17 +264,6 @@ class STDecomposition:
         return Matrix.from_rows(cols).transpose()
 
 
-def _integer_scaled(g: Matrix) -> Matrix:
-    """Nonzero scalar multiple of g with coprime integer entries.
-
-    Scaling never changes the kernels of the irreducible factors, but it
-    keeps the minimal polynomial monic integer, which is the cheap case
-    for factorization."""
-    nums = integer_row(g.flatten())[1]
-    common = gcd(*nums) or 1
-    return Matrix.from_flat(g.nrows, [v // common for v in nums])
-
-
 def st_decompose(
     F: SymForm, algebra: SymmetrizerAlgebra | None = None
 ) -> STDecomposition | None:
@@ -330,7 +295,9 @@ def st_decompose(
     n = F.nvars
     sems, t = A.semisimple_parts, 1 + A.dim_torus
     for m in range(comb(t, 2) * (len(sems) - 1) + 1):
-        s = _integer_scaled(sum((m**i * S for i, S in enumerate(sems)), Matrix.zeros(n)))
+        # scaling changes no kernel of a factor, and a primitive integer s
+        # has a monic integer minimal polynomial, the cheap case to factor
+        s = sum((m**i * S for i, S in enumerate(sems)), Matrix.zeros(n)).primitive()
         mp = minimal_polynomial(s)
         if mp.degree == t:
             break
@@ -536,15 +503,9 @@ def recover_symmetrizer(F: SymForm, Ft: SymForm) -> Matrix:
         raise FiberMismatchError("forms live in different spaces")
     if grassmann_point(F) != grassmann_point(Ft):
         raise FiberMismatchError("forms have different Jacobian images")
-    n = F.nvars
-    J, Jt = jacobian_matrix(F), jacobian_matrix(Ft)
-    red, pivots, _ = rref(Matrix(J.rows + Jt.rows, J.ncols).transpose())
-    if any(p >= n for p in pivots):
+    g = solve_matrix(jacobian_matrix(F).transpose(), jacobian_matrix(Ft).transpose())
+    if g is None:
         raise InvariantError("equal Jacobian images but unsolvable transport")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for r, p in enumerate(pivots):
-        rows[p] = red.rows[r][n:]
-    g = Matrix.from_rows(rows)
     if not is_invertible(g):
         raise InvariantError("fiber transport is singular")
     witness = symmetry_violation(F, g)
@@ -590,10 +551,11 @@ def fiber_invariance_check(
     Fg = twisted if twisted is not None else twist(F, g, check=False)
 
     A = algebra if algebra is not None else symmetrizer_algebra(F)
+    C = constraint_matrix(Fg)
     algebra_match = (
         all(symmetry_violation(Fg, b) is None for b in A.basis)
-        and rank_mod_p(_constraint_rows(Fg), n * n) >= n * n - A.span.dim
-    ) or span_equal(A.flat_basis(), nullspace(constraint_matrix(Fg)), width=n * n)
+        and rank_mod_p(C.ints, n * n) >= n * n - A.span.dim
+    ) or span_equal(A.flat_basis(), nullspace(C), width=n * n)
 
     kernel_F = jacobian_kernel(F)
     if kernel_F:
@@ -614,24 +576,18 @@ def sample_invertible_symmetrizers(
     count: int = 20,
 ) -> list[Matrix]:
     """Deterministic invertible elements of g_F: seeded integer
-    combinations of the basis, keeping the invertible ones. The
-    combinations are taken of the basis scaled to integers over one
-    common denominator, and full rank mod P certifies most of them."""
+    combinations of the basis, keeping the invertible ones (full rank
+    mod P certifies most of them)."""
     A = algebra if algebra is not None else symmetrizer_algebra(F)
     n = F.nvars
-    den, ints = integer_row([e for b in A.basis for e in b.flatten()])
-    flats = [ints[k:k + n * n] for k in range(0, len(ints), n * n)]
-    cols = list(zip(*flats))  # entry k of every basis element
     rng = SplitMix64(seed)
     out: list[Matrix] = []
     for _ in range(64 * count):
         if len(out) >= count:
             break
-        coeffs = [rng.int_in(-5, 5) for _ in flats]
-        flat = [sum(map(mul, coeffs, col)) for col in cols]
-        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-        g = Matrix(tuple(tuple(Fraction(x, den) for x in row) for row in rows), n)
-        if rank_mod_p(rows, n) == n or g.rank() == n:
+        coeffs = [rng.int_in(-5, 5) for _ in A.basis]
+        g = sum((c * b for c, b in zip(coeffs, A.basis)), Matrix.zeros(n))
+        if is_invertible(g):
             out.append(g)
     if not out:
         out.append(Matrix.identity(n))
@@ -687,7 +643,9 @@ def check_identities(
         out["commutativity"] = CheckResult(
             "skip", "degenerate form: commutativity is not guaranteed"
         )
-    out["identity_element"] = _passfail(A.contains_identity, "identity not in span")
+    out["identity_element"] = _passfail(
+        A.contains(Matrix.identity(F.nvars)), "identity not in span"
+    )
 
     bad = [
         i for i, h in enumerate(A.basis) if not kernel_image_vanishing(F, h)
@@ -697,8 +655,12 @@ def check_identities(
     )
 
     if nondeg:
+        # g_F is the direct sum of the torus, spanned by the semisimple
+        # parts, and the unipotent part: the torus has dimension
+        # dim_total - dim_unipotent = 1 + dim_torus
+        torus = Span([S.flat_ints() for S in A.semisimple_parts], F.nvars**2)
         out["split_additivity"] = _passfail(
-            A.dim_total == 1 + A.dim_torus + A.dim_unipotent,
+            torus.dim == 1 + A.dim_torus,
             f"dims ({A.dim_total}, {A.dim_torus}, {A.dim_unipotent})",
         )
         ok_split = all(
@@ -838,13 +800,10 @@ def _block_algebra_sum_check(
     off = 0
     for blk in dec.blocks:
         dim = len(blk.basis)
+        # E m Eᵀ is m in the diagonal block at rows and columns off..off+dim-1
+        E = Matrix.from_rows([r[off:off + dim] for r in Matrix.identity(n).rows], dim)
         sub = symmetrizer_algebra(blk.form)
-        for m in sub.basis:
-            big = [[Fraction(0)] * n for _ in range(n)]
-            for r in range(dim):
-                for c in range(dim):
-                    big[off + r][off + c] = m.entry(r, c)
-            embedded.append(Matrix.from_rows(big).flatten())
+        embedded += [(E * m * E.transpose()).flatten() for m in sub.basis]
         off += dim
     ok = span_equal(conjugated, embedded, width=n * n)
     return _passfail(ok, "block algebras do not sum to the whole algebra")

@@ -136,7 +136,8 @@ def generate(spec: GeneratorSpec) -> SymForm:
 
     if spec.kind == "cone":
         # pure powers on all but the last variable: always degenerate
-        return compose_linear(_fermat(n - 1, d), Matrix(Matrix.identity(n).rows[:-1], n))
+        rows = Matrix.identity(n).rows[:-1]
+        return compose_linear(_fermat(n - 1, d), Matrix.from_rows(rows, n))
 
     if spec.kind == "random":
         return _random_form(n, d, spec.seed, spec.coefficient_bound)
@@ -156,7 +157,7 @@ def generate(spec: GeneratorSpec) -> SymForm:
                 )
             # rows off, ..., off + size - 1 of the identity: sub in those variables
             rows = Matrix.identity(n).rows[off : off + size]
-            total = total + compose_linear(sub, Matrix(rows, n))
+            total = total + compose_linear(sub, Matrix.from_rows(rows, n))
             off += size
         return total
 

@@ -355,16 +355,14 @@ def symmetry_violation(
     """Search for a witness that g fails to symmetrize F.
 
     F(g·e_i, e_j, e^beta) = (g^T H_beta)[i][j], so g symmetrizes F iff
-    every g^T H_beta is symmetric; g is scaled to integers first. Pairs
+    every g^T H_beta is symmetric, which g's integer rows decide. Pairs
     i < j are scanned before monomials beta. Symmetry of F in its last
     d-1 slots makes this single swap equivalent to full slot-symmetry of
     the twist.
     """
+    _require_endomorphism(F, g)
     n, d = F.nvars, F.degree
-    if g.nrows != n or g.ncols != n:
-        raise ValueError("endomorphism dimension must match the form")
-    _, flat = integer_row(g.flatten())
-    cols = [flat[i::n] for i in range(n)]
+    cols = list(zip(*g.ints))
     slices = F.hessian_slices[1]
     for i in range(n):
         for j in range(i + 1, n):
@@ -372,6 +370,11 @@ def symmetry_violation(
                 if sum(map(mul, cols[i], H[j])) != sum(map(mul, cols[j], H[i])):
                     return (0, 1), (i, j) + monomial_slots(beta)
     return None
+
+
+def _require_endomorphism(F: SymForm, g: Matrix) -> None:
+    if g.nrows != F.nvars or g.ncols != F.nvars:
+        raise ValueError("endomorphism dimension must match the form")
 
 
 def pairings_vanish(F: SymForm, us: Sequence[Vec], ws: Sequence[Vec]) -> bool:
@@ -397,7 +400,9 @@ def twist(F: SymForm, g: Matrix, check: bool = True) -> SymForm:
     With `check` on (the default), g is first verified to be a
     symmetrizer, which is exactly the condition for F^g to be symmetric.
     With `check` off the result is the symmetrization of the values.
+    Either way g must be n×n.
     """
+    _require_endomorphism(F, g)
     if check:
         witness = symmetry_violation(F, g)
         if witness is not None:
@@ -410,9 +415,8 @@ def twist(F: SymForm, g: Matrix, check: bool = True) -> SymForm:
                 continue
             # (1/d) * x_i-partial, then multiply by the linear form (g·x)_i
             base = alpha[:i] + (e - 1,) + alpha[i + 1 :]
-            scale = Fraction(e, d) * c
-            for j in range(n):
-                gij = g.entry(i, j)
+            scale = Fraction(e, d * g.den) * c
+            for j, gij in enumerate(g.ints[i]):
                 if gij == 0:
                     continue
                 beta = base[:j] + (base[j] + 1,) + base[j + 1 :]

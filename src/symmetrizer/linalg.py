@@ -1,37 +1,36 @@
 """Dense exact linear algebra over the rationals.
 
-Everything here is a pure function of immutable inputs: matrices are
-frozen row tuples of Fraction, echelon reduction scans for the first
-nonzero pivot top to bottom (exact arithmetic needs no magnitude
-pivoting), and all outputs are deterministic.
+Everything here is a pure function of immutable inputs, and all outputs
+are deterministic. A `Matrix` stores integer rows over one positive
+denominator in lowest terms: the gcd of the denominator and every entry
+is 1, so the zero matrix has denominator 1 and equal rational matrices
+have equal fields, which makes dataclass equality and hashing exact.
+Arithmetic runs on the ints; `rows`, `entry`, `column` and `flatten`
+derive Fractions at the boundary. Vectors (`Vec`) are Fraction tuples.
 
-Inputs and outputs are Fraction, but the two hot kernels run on Python
-ints. `rref` scales each row to integers by the lcm of its denominators
-and eliminates fraction-free, dividing every updated row by its gcd; it
-divides by the pivots only when it builds its output. By Cramer's rule
-every row at every step is a rational multiple of a vector of minors of
-the scaled input; being primitive, it is that vector divided by its gcd.
-So no intermediate entry exceeds the largest minor of order at most
-rank+1, the bound Bareiss's elimination also obeys. `Matrix.__mul__`
-scales each row of the left factor and each column of the right factor
-to integers and builds one Fraction per entry from an integer dot
-product. `Span` keeps a family's integer echelon rows, so that repeated
-membership tests against one family reduce each vector once.
+Echelon reduction takes the first nonzero pivot top to bottom (exact
+arithmetic needs no magnitude pivoting) and eliminates fraction-free,
+dividing every updated row by its gcd; the rref's denominator is the lcm
+of the pivots. By Cramer's rule every row at every step is a rational
+multiple of a vector of minors of the input; being primitive, it is that
+vector divided by its gcd, so no entry exceeds the largest minor of
+order at most rank+1, Bareiss's bound. `Span` keeps a family's integer
+echelon rows, so each membership test reduces one vector.
 
-Rank lower bounds come from one fixed prime P. Scaled to integers, a
-matrix has a nonzero (r × r) minor exactly when its rank over the
-rationals is at least r; that minor is an integer, and if it is nonzero
-mod P it is nonzero. So the rank mod P of the integer rows never exceeds
-the rank over the rationals, and `rank_mod_p` reaching a bound proves
-the bound (the certificate of Dixon's modular method). It can only fall
-short, when P divides every such minor; callers then run the exact
-elimination, so every answer is exact and none depends on P.
+Rank lower bounds come from one fixed prime P. Integer rows have a
+nonzero (r × r) minor exactly when their rank is at least r, and a minor
+nonzero mod P is nonzero, so `rank_mod_p` reaching a bound proves it
+(the certificate of Dixon's modular method). It falls short only when P
+divides every such minor; callers then run the exact elimination, so no
+answer depends on P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -55,17 +54,13 @@ def vec_is_zero(v: Vec) -> bool:
     return all(e == 0 for e in v)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def integer_row(v: Sequence) -> tuple[int, list[int]]:
     """(den, ints) with v == ints / den, den the lcm of v's denominators."""
     den = lcm(*[e.denominator for e in v])
     return den, [e.numerator * (den // e.denominator) for e in v]
 
 
-def _primitive(row: list[int]) -> list[int]:
+def _primitive(row: Sequence[int]) -> Sequence[int]:
     """The row divided by the gcd of its entries (unchanged when zero)."""
     g = gcd(*row)
     return row if g <= 1 else [x // g for x in row]
@@ -73,14 +68,25 @@ def _primitive(row: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense rational matrix. Rows are tuples; equality is exact."""
+    """Immutable dense rational matrix: the integer rows `ints` over the
+    denominator `den`, reduced to lowest terms on construction."""
 
-    rows: tuple[Vec, ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int
     ncols: int
+
+    def __post_init__(self):
+        if self.den < 1:
+            raise ValueError("denominator must be positive")
+        g = gcd(self.den, *chain.from_iterable(self.ints))
+        if g > 1:
+            ints = tuple(tuple(x // g for x in r) for r in self.ints)
+            object.__setattr__(self, "ints", ints)
+            object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ncols: int | None = None) -> "Matrix":
-        converted = tuple(vector(row) for row in rows)
+        converted = [vector(row) for row in rows]
         if converted:
             width = len(converted[0])
             if any(len(r) != width for r in converted):
@@ -90,22 +96,18 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return Matrix(converted, ncols)
+        den = lcm(*(e.denominator for r in converted for e in r))
+        ints = tuple(tuple(e.numerator * (den // e.denominator) for e in r) for r in converted)
+        return Matrix(ints, den, ncols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-            n,
-        )
+        return Matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @staticmethod
     def zeros(n: int, m: int | None = None) -> "Matrix":
         m = n if m is None else m
-        return Matrix(tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n)), m)
+        return Matrix(((0,) * m,) * n, 1, m)
 
     @staticmethod
     def from_flat(n: int, flat: Sequence) -> "Matrix":
@@ -115,9 +117,14 @@ class Matrix:
         it = iter(flat)
         return Matrix.from_rows([[next(it) for _ in range(n)] for _ in range(n)])
 
+    @cached_property
+    def rows(self) -> tuple[Vec, ...]:
+        """The entries as Fraction rows."""
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.ints)
+
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def is_square(self) -> bool:
@@ -125,7 +132,7 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.rows)
+        return not any(map(any, self.ints))
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -137,35 +144,44 @@ class Matrix:
         """Row-major flattening; entry (i, j) lands at index i*ncols + j."""
         return tuple(e for r in self.rows for e in r)
 
+    def flat_ints(self) -> list[int]:
+        """The integer entries, row-major: den times flatten(). A span or a
+        membership test is blind to the scale, so these stand for the matrix."""
+        return list(chain.from_iterable(self.ints))
+
+    def primitive(self) -> "Matrix":
+        """The positive multiple with coprime integer entries (zero stays zero)."""
+        g = gcd(*self.flat_ints()) or 1
+        return Matrix(tuple(tuple(x // g for x in r) for r in self.ints), 1, self.ncols)
+
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.ints)) if self.ints else ((),) * self.ncols
+
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.column(j) for j in range(self.ncols)), self.nrows)
+        return Matrix(self._columns(), self.den, self.nrows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows)), self.ncols
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        pairs = zip(self.ints, other.ints)
+        ints = tuple(tuple(a * x + b * y for x, y in zip(r, s)) for r, s in pairs)
+        return Matrix(ints, den, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-e for e in r) for r in self.rows), self.ncols)
+        return Matrix(tuple(tuple(-x for x in r) for r in self.ints), self.den, self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = [integer_row(col) for col in other.transpose().rows]
-            rows = [integer_row(row) for row in self.rows]
-            return Matrix(
-                tuple(
-                    tuple(Fraction(sum(map(mul, a, b)), da * db) for db, b in cols)
-                    for da, a in rows
-                ),
-                other.ncols,
-            )
+            cols = other._columns()
+            ints = tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.ints)
+            return Matrix(ints, self.den * other.den, other.ncols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -173,7 +189,8 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(tuple(tuple(c * e for e in r) for r in self.rows), self.ncols)
+        ints = tuple(tuple(c.numerator * x for x in r) for r in self.ints)
+        return Matrix(ints, self.den * c.denominator, self.ncols)
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -192,7 +209,9 @@ class Matrix:
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        den, w = integer_row(v)
+        den *= self.den
+        return tuple(Fraction(sum(map(mul, r, w)), den) for r in self.ints)
 
     def rank(self) -> int:
         return rref(self)[2]
@@ -200,20 +219,24 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = Matrix.from_rows(
-            [list(self.rows[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-        )
-        red, pivots, rank = rref(aug)
-        if rank != n or any(p >= n for p in pivots):
+        inv = solve_matrix(self, Matrix.identity(self.nrows))
+        if inv is None:
             raise ValueError("matrix is singular")
-        return Matrix(tuple(r[n:] for r in red.rows), n)
+        return inv
 
     def __str__(self) -> str:
         return "[" + "; ".join(
             ", ".join(str(e) for e in row) for row in self.rows
         ) + "]"
+
+
+def _beside(A: Matrix, B: Matrix) -> Matrix:
+    """The block matrix [A | B] of two matrices with equally many rows."""
+    ints = tuple(
+        tuple(x * B.den for x in r) + tuple(y * A.den for y in s)
+        for r, s in zip(A.ints, B.ints, strict=True)
+    )
+    return Matrix(ints, A.den * B.den, A.ncols + B.ncols)
 
 
 def rank_mod_p(int_rows: Sequence[Sequence[int]], ncols: int) -> int:
@@ -243,7 +266,7 @@ def is_invertible(M: Matrix) -> bool:
     if not M.is_square:
         return False
     n = M.nrows
-    return rank_mod_p([integer_row(r)[1] for r in M.rows], n) == n or M.rank() == n
+    return rank_mod_p(M.ints, n) == n or M.rank() == n
 
 
 def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
@@ -254,15 +277,15 @@ def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
 
 
 def _echelon(
-    vectors: Sequence[Sequence], ncols: int
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan on the vectors scaled to integer rows.
+    int_rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[Sequence[int]], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan on integer rows.
 
     Returns (rows, pivots): row r has its pivot in column pivots[r] and
     zeros in every other pivot column; rows past the rank are zero. Each
     row is divided by its gcd after every update, so it stays primitive.
     """
-    rows = [_primitive(integer_row(v)[1]) for v in vectors]
+    rows = [_primitive(r) for r in int_rows]
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -288,14 +311,11 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     Pivot choice: first row with a nonzero entry in the current column,
     scanning top to bottom. Output is canonical for the row space.
     """
-    rows, pivots = _echelon(M.rows, M.ncols)
-    zero = Fraction(0)
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append(tuple(Fraction(x, p) if x else zero for x in row))
-    out += [(zero,) * M.ncols] * (len(rows) - len(pivots))
-    return Matrix(tuple(out), M.ncols), pivots, len(pivots)
+    rows, pivots = _echelon(M.ints, M.ncols)
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    out = [tuple(x * (den // row[c]) for x in row) for row, c in zip(rows, pivots)]
+    out += [(0,) * M.ncols] * (len(rows) - len(pivots))
+    return Matrix(tuple(out), den, M.ncols), pivots, len(pivots)
 
 
 def nullspace(M: Matrix) -> list[Vec]:
@@ -313,25 +333,29 @@ def nullspace(M: Matrix) -> list[Vec]:
         v = [Fraction(0)] * M.ncols
         v[free] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -red.rows[r][free]
+            v[p] = Fraction(-red.ints[r][free], red.den)
         basis.append(tuple(v))
     return basis
+
+
+def solve_matrix(M: Matrix, B: Matrix) -> Matrix | None:
+    """One exact solution X of M X = B (free rows of X set to 0), or None;
+    all columns of B share one reduction of [M | B]."""
+    red, pivots, _ = rref(_beside(M, B))
+    if pivots and pivots[-1] >= M.ncols:
+        return None
+    rows = [(0,) * B.ncols] * M.ncols
+    for r, p in enumerate(pivots):
+        rows[p] = red.ints[r][M.ncols:]
+    return Matrix(tuple(rows), red.den, B.ncols)
 
 
 def solve(M: Matrix, b: Vec) -> Vec | None:
     """One exact solution of M x = b (free variables set to 0), or None."""
     if len(b) != M.nrows:
         raise ValueError("shape mismatch")
-    aug = Matrix.from_rows(
-        [list(row) + [b[i]] for i, row in enumerate(M.rows)], M.ncols + 1
-    )
-    red, pivots, _ = rref(aug)
-    if M.ncols in pivots:
-        return None
-    x = [Fraction(0)] * M.ncols
-    for r, p in enumerate(pivots):
-        x[p] = red.rows[r][M.ncols]
-    return tuple(x)
+    x = solve_matrix(M, Matrix.from_rows([[e] for e in b], 1))
+    return None if x is None else x.column(0)
 
 
 def row_space_basis(vectors: Sequence[Vec], width: int | None = None) -> list[Vec]:
@@ -339,7 +363,7 @@ def row_space_basis(vectors: Sequence[Vec], width: int | None = None) -> list[Ve
     if not vectors:
         return []
     red, _, rank = rref(Matrix.from_rows(vectors, width))
-    return [red.rows[i] for i in range(rank)]
+    return list(red.rows[:rank])
 
 
 class Span:
@@ -350,7 +374,7 @@ class Span:
         if any(len(u) != ncols for u in vectors):
             raise ValueError("ragged rows")
         self.ncols = ncols
-        rows, pivots = _echelon(vectors, ncols)
+        rows, pivots = _echelon([integer_row(v)[1] for v in vectors], ncols)
         self._rows = list(zip(rows, pivots))
 
     @property
@@ -407,17 +431,13 @@ def minimal_polynomial(A: Matrix) -> Poly:
 
 
 def poly_at_matrix(p: Poly, A: Matrix) -> Matrix:
-    """Evaluate p at a square matrix (Horner: each step adds the
-    coefficient to the diagonal of acc·A)."""
+    """Evaluate p at a square matrix by Horner's rule."""
     if not A.is_square:
         raise ValueError("polynomial of a non-square matrix")
-    n = A.nrows
-    acc = Matrix.zeros(n)
+    identity = Matrix.identity(A.nrows)
+    acc = Matrix.zeros(A.nrows)
     for c in reversed(p.coeffs):
-        rows = (acc * A).rows
-        acc = Matrix(
-            tuple(r[:i] + (r[i] + c,) + r[i + 1 :] for i, r in enumerate(rows)), n
-        )
+        acc = acc * A + c * identity
     return acc
 
 

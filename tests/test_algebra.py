@@ -1,6 +1,7 @@
 """Symmetrizer algebra: splitting, block decomposition, square-zero search,
 fiber transport, identity checks."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -68,7 +69,7 @@ class TestWorkedExamples:
     def test_cusp_dimensions(self):
         A = symmetrizer_algebra(CUSP)
         assert (A.dim_total, A.dim_torus, A.dim_unipotent) == (2, 0, 1)
-        assert A.contains_identity
+        assert A.contains(Matrix.identity(2))
         assert A.nondegenerate
 
     def test_cusp_unipotent_basis(self):
@@ -351,6 +352,22 @@ class TestCheckIdentities:
         assert full["cube_vanishing"].status == "pass"
         assert full["square_zero_images_distinct"].status == "pass"
 
+    def test_doctored_algebras_fail_the_identity_checks(self):
+        F = parse_poly("x0^3 + x1^3")
+        A = symmetrizer_algebra(F)
+        assert all(r.status != "fail" for r in check_identities(F, samples=2, algebra=A).values())
+        no_identity = replace(A, basis=A.basis[1:])
+        assert not no_identity.contains(Matrix.identity(2))
+        results = check_identities(F, samples=2, algebra=no_identity)
+        assert results["identity_element"].status == "fail"
+        for doctored in (
+            replace(A, dim_torus=A.dim_torus - 1),
+            # still dim_total = 1 + dim_torus + dim_unipotent
+            replace(A, dim_torus=A.dim_torus - 1, dim_unipotent=A.dim_unipotent + 1),
+        ):
+            results = check_identities(F, samples=2, algebra=doctored)
+            assert results["split_additivity"].status == "fail"
+
 
 class TestPrescribedNilpotent:
     def test_square_zero_prescription_shows_up(self, golden_corpus):
@@ -364,7 +381,7 @@ class TestPrescribedNilpotent:
 class TestEmbedRestrict:
     def test_embed_then_restrict_is_identity(self):
         G = parse_poly("x0^3 + x0*x1^2")
-        E = Matrix((Matrix.identity(5).rows[1], Matrix.identity(5).rows[3]), 5)
+        E = Matrix.from_rows((Matrix.identity(5).rows[1], Matrix.identity(5).rows[3]), 5)
         F = compose_linear(G, E)
         assert F == oracle_embed_form(G, 5, (1, 3))
         assert compose_linear(F, E.transpose()) == G

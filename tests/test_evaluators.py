@@ -454,7 +454,7 @@ class TestRectangularComposeLinear:
         n = F.nvars
         N = data.draw(st.integers(n, n + 3))
         offsets = data.draw(st.permutations(range(N)))[:n]
-        A = Matrix(tuple(Matrix.identity(N).rows[o] for o in offsets), N)
+        A = Matrix.from_rows([Matrix.identity(N).rows[o] for o in offsets], N)
         assert compose_linear(F, A) == oracle_embed_form(F, N, offsets)
 
     def test_row_count_must_match(self):

@@ -155,11 +155,18 @@ class TestSymmetrizers:
         G = twist(F, bad, check=False)
         assert G.degree == 3 and G.nvars == 2
 
-    @given(symforms(nvars=2, degree=3), st.integers(-5, 5))
+    @pytest.mark.parametrize("check", [True, False])
+    def test_twist_refuses_a_matrix_of_the_wrong_shape(self, check):
+        F = parse_poly("x0^2*x1")
+        for g in (Matrix.identity(3), Matrix.identity(1), Matrix.zeros(2, 3)):
+            with pytest.raises(ValueError, match="endomorphism dimension must match"):
+                twist(F, g, check=check)
+
+    @given(symforms(nvars=2, degree=3), st.integers(-5, 5), st.integers(1, 7))
     @settings(deadline=None, max_examples=30)
-    def test_scalar_twist_scales(self, F, c):
-        got = twist(F, Matrix.identity(2) * Q(c))
-        assert got == F * Q(c)
+    def test_scalar_twist_scales(self, F, a, b):
+        got = twist(F, Matrix.identity(2) * Q(a, b))
+        assert got == F * Q(a, b)
 
 
 class TestVanishingOrder:

@@ -1,6 +1,7 @@
 """Exact linear algebra: echelon forms, spans, minimal polynomials, splitting."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from symmetrizer.linalg import (
     rank_mod_p,
     rref,
     solve,
+    solve_matrix,
     span_contains,
     span_equal,
     vector,
@@ -33,15 +35,16 @@ def M(*rows) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-# Reference oracles: plain Fraction Gauss-Jordan and the naive product,
-# which the integer kernels in linalg must match exactly.
+# Reference oracles: plain Fraction Gauss-Jordan, the naive product and
+# entrywise arithmetic on Fraction rows, which the integer rows of Matrix
+# must match exactly.
 
 
-def oracle_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Gauss-Jordan on Fractions with the same pivot rule as rref."""
-    rows = [[Q(e) for e in r] for r in A.rows]
+def gauss_jordan(rows: list[list[Q]], ncols: int) -> tuple[list[list[Q]], tuple[int, ...]]:
+    """Gauss-Jordan on Fraction rows with the same pivot rule as rref."""
+    rows = [[Q(e) for e in r] for r in rows]
     pivots, r = [], 0
-    for c in range(A.ncols):
+    for c in range(ncols):
         if r == len(rows):
             break
         sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -56,21 +59,41 @@ def oracle_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return Matrix(tuple(tuple(row) for row in rows), A.ncols), tuple(pivots), r
+    return rows, tuple(pivots)
+
+
+def oracle_rref(A: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
+    rows, pivots = gauss_jordan(A.rows, A.ncols)
+    return Matrix.from_rows(rows, A.ncols), pivots, len(pivots)
+
+
+def product_rows(a, b, m: int) -> list[list[Q]]:
+    """The naive triple loop on Fraction rows; b has m columns."""
+    return [[sum((x * b[k][j] for k, x in enumerate(r)), Q(0)) for j in range(m)] for r in a]
 
 
 def oracle_product(A: Matrix, B: Matrix) -> Matrix:
-    """The naive triple loop on Fractions."""
-    return Matrix(
-        tuple(
-            tuple(
-                sum((Q(A.rows[i][k]) * B.rows[k][j] for k in range(A.ncols)), Q(0))
-                for j in range(B.ncols)
-            )
-            for i in range(A.nrows)
-        ),
-        B.ncols,
-    )
+    return Matrix.from_rows(product_rows(A.rows, B.rows, B.ncols), B.ncols)
+
+
+def identity_rows(n: int) -> list[list[Q]]:
+    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def oracle_inverse_rows(A: Matrix) -> list[list[Q]] | None:
+    """[A | I] reduced on Fractions, or None when A is singular."""
+    n = A.nrows
+    rows, pivots = gauss_jordan([list(r) + e for r, e in zip(A.rows, identity_rows(n))], 2 * n)
+    if pivots != tuple(range(n)):
+        return None
+    return [r[n:] for r in rows]
+
+
+def oracle_power_rows(A: Matrix, k: int) -> list[list[Q]]:
+    acc = identity_rows(A.nrows)
+    for _ in range(k):
+        acc = product_rows(acc, A.rows, A.ncols)
+    return acc
 
 
 def oracle_nullspace(A: Matrix) -> list[tuple]:
@@ -86,7 +109,7 @@ def oracle_nullspace(A: Matrix) -> list[tuple]:
 
 
 def oracle_solve(A: Matrix, b: tuple) -> tuple | None:
-    aug = Matrix(tuple(tuple(row) + (b[i],) for i, row in enumerate(A.rows)), A.ncols + 1)
+    aug = Matrix.from_rows([row + (b[i],) for i, row in enumerate(A.rows)], A.ncols + 1)
     red, pivots, _ = oracle_rref(aug)
     if A.ncols in pivots:
         return None
@@ -99,16 +122,35 @@ def oracle_solve(A: Matrix, b: tuple) -> tuple | None:
 def oracle_span_contains(vectors, v) -> bool:
     if all(e == 0 for e in v):
         return True
-    rank = lambda rows: oracle_rref(Matrix(tuple(rows), len(v)))[2]
+    rank = lambda rows: len(gauss_jordan(rows, len(v))[1])
     return rank(list(vectors) + [v]) == rank(vectors)
 
 
-def oracle_poly_at_matrix(p: Poly, A: Matrix) -> Matrix:
-    """Horner adding c times a full identity matrix at every step."""
-    acc = Matrix.zeros(A.nrows)
+def oracle_poly_at_matrix(p: Poly, A: Matrix) -> list[list[Q]]:
+    """Horner on Fraction rows, adding c times the identity at every step."""
+    n = A.nrows
+    acc = [[Q(0)] * n for _ in range(n)]
     for c in reversed(p.coeffs):
-        acc = oracle_product(acc, A) + c * Matrix.identity(A.nrows)
+        acc = [
+            [x + (c if i == j else 0) for j, x in enumerate(r)]
+            for i, r in enumerate(product_rows(acc, A.rows, n))
+        ]
     return acc
+
+
+def as_rows(rows) -> tuple[tuple[Q, ...], ...]:
+    return tuple(tuple(r) for r in rows)
+
+
+def in_lowest_terms(A: Matrix) -> bool:
+    """The stored format: integer rows of width ncols over a positive
+    denominator that shares no factor with every entry (1 for zero)."""
+    return (
+        A.den >= 1
+        and gcd(A.den, *A.flat_ints()) == 1
+        and all(type(x) is int for x in A.flat_ints())
+        and all(len(r) == A.ncols for r in A.ints)
+    )
 
 
 # Large coprime denominators make the row lcms, and so the integer rows,
@@ -121,9 +163,9 @@ rationals = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw, nrows=None, ncols=None):
-    """Wide, tall and empty shapes; zero rows; built either through
-    from_rows or directly from mixed int/Fraction tuples."""
+def rational_rows(draw, nrows=None, ncols=None):
+    """(rows, ncols): wide, tall and empty shapes; zero rows; rows of
+    Fractions or of mixed ints and Fractions."""
     n = draw(st.integers(0, 6)) if nrows is None else nrows
     m = draw(st.integers(0, 6)) if ncols is None else ncols
     rows = []
@@ -133,9 +175,16 @@ def rational_matrices(draw, nrows=None, ncols=None):
         else:
             rows.append([draw(rationals) for _ in range(m)])
     if draw(st.booleans()):
-        return Matrix.from_rows(rows, m)
-    raw = tuple(tuple(int(e) if Q(e).denominator == 1 else e for e in r) for r in rows)
-    return Matrix(raw, m)
+        rows = [[int(e) if Q(e).denominator == 1 else e for e in r] for r in rows]
+    return rows, m
+
+
+def rational_matrices(nrows=None, ncols=None):
+    return rational_rows(nrows, ncols).map(lambda rows_m: Matrix.from_rows(*rows_m))
+
+
+def square_matrices(nmax):
+    return st.integers(0, nmax).flatmap(lambda n: rational_matrices(n, n))
 
 
 @st.composite
@@ -296,6 +345,19 @@ class TestIntegerKernelsMatchOracles:
         assert solve(A, b) == oracle_solve(A, b)
 
     @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_solve_matrix_solves_every_column(self, data):
+        n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+        A = data.draw(rational_matrices(n, k))
+        B = data.draw(rational_matrices(n, m))
+        X = solve_matrix(A, B)
+        columns = [oracle_solve(A, B.column(j)) for j in range(m)]
+        if None in columns:
+            assert X is None
+        else:
+            assert in_lowest_terms(X) and [X.column(j) for j in range(m)] == columns
+
+    @given(st.data())
     @settings(deadline=None, max_examples=200)
     def test_span_contains(self, data):
         width = data.draw(st.integers(1, 6))
@@ -313,19 +375,125 @@ class TestIntegerKernelsMatchOracles:
         n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
         A = data.draw(rational_matrices(nrows=n, ncols=k))
         B = data.draw(rational_matrices(nrows=k, ncols=m))
-        assert A * B == oracle_product(A, B)
+        got = A * B
+        assert got == oracle_product(A, B) and in_lowest_terms(got)
+        assert got.rows == as_rows(product_rows(A.rows, B.rows, m))
 
     @given(st.integers(0, 4).flatmap(lambda n: rational_matrices(n, n)),
            st.lists(rationals, max_size=5))
     @settings(deadline=None, max_examples=150)
     def test_poly_at_matrix(self, A, coeffs):
         p = Poly.from_coeffs(coeffs)
-        assert poly_at_matrix(p, A) == oracle_poly_at_matrix(p, A)
+        got = poly_at_matrix(p, A)
+        assert in_lowest_terms(got) and got.rows == as_rows(oracle_poly_at_matrix(p, A))
 
     def test_negative_pivot_and_coprime_denominators(self):
         A = M([Q(-3, 65537), Q(1, 7), 0], [Q(2, 1000003), Q(-5, 97), Q(1, 2)])
         assert rref(A) == oracle_rref(A)
         assert A * A.transpose() == oracle_product(A, A.transpose())
+
+
+nonzero_rationals = st.builds(
+    Q, st.integers(1, 50).map(lambda x: x if x % 2 else -x), st.sampled_from(DENOMINATORS)
+)
+
+
+class TestMatrixFormat:
+    """Matrix stores integer rows over one denominator in lowest terms;
+    every operation must equal the Fraction oracles and keep that form."""
+
+    @given(rational_rows())
+    @settings(deadline=None, max_examples=150)
+    def test_from_rows_keeps_every_entry(self, rows_m):
+        rows, m = rows_m
+        A = Matrix.from_rows(rows, m)
+        assert in_lowest_terms(A) and (A.nrows, A.ncols) == (len(rows), m)
+        assert A.rows == as_rows([[Q(e) for e in r] for r in rows])
+        assert A.flatten() == tuple(Q(e) for r in rows for e in r)
+        assert all(A.column(j) == tuple(Q(r[j]) for r in rows) for j in range(m))
+        assert all(A.entry(i, j) == Q(rows[i][j]) for i in range(A.nrows) for j in range(m))
+        assert A.is_zero == all(e == 0 for r in rows for e in r)
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_entrywise_arithmetic(self, n, m, data):
+        A = data.draw(rational_matrices(n, m))
+        B = data.draw(rational_matrices(n, m))
+        c = data.draw(rationals)
+        expected = {
+            "sum": [[x + y for x, y in zip(r, s)] for r, s in zip(A.rows, B.rows)],
+            "difference": [[x - y for x, y in zip(r, s)] for r, s in zip(A.rows, B.rows)],
+            "negation": [[-x for x in r] for r in A.rows],
+            "scale": [[Q(c) * x for x in r] for r in A.rows],
+            "transpose": [[r[j] for r in A.rows] for j in range(m)],
+        }
+        got = {
+            "sum": A + B, "difference": A - B, "negation": -A,
+            "scale": A.scale(c), "transpose": A.transpose(),
+        }
+        for key, M in got.items():
+            assert in_lowest_terms(M), key
+            assert M.rows == as_rows(expected[key]), key
+        assert c * A == A * c == A.scale(c)
+        assert A.transpose().ncols == n
+
+    @given(square_matrices(5))
+    @settings(deadline=None, max_examples=200)
+    def test_inverse_and_is_invertible(self, A):
+        expected = oracle_inverse_rows(A)
+        assert is_invertible(A) == (expected is not None)
+        if expected is None:
+            with pytest.raises(ValueError):
+                A.inverse()
+        else:
+            inv = A.inverse()
+            assert in_lowest_terms(inv) and inv.rows == as_rows(expected)
+
+    @given(square_matrices(4), st.integers(0, 4))
+    @settings(deadline=None, max_examples=100)
+    def test_powers(self, A, k):
+        got = A**k
+        assert in_lowest_terms(got) and got.rows == as_rows(oracle_power_rows(A, k))
+
+    @given(rational_matrices(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_equal_values_give_equal_matrices(self, A, data):
+        c = data.draw(nonzero_rationals)
+        k = data.draw(st.integers(1, 2**61 - 1))
+        paths = [
+            Matrix.from_rows(A.rows, A.ncols),
+            Matrix.from_rows([[str(e) for e in r] for r in A.rows], A.ncols),
+            Matrix(tuple(tuple(k * x for x in r) for r in A.ints), k * A.den, A.ncols),
+            A.scale(c).scale(1 / c),
+            (A + A).scale(Q(1, 2)),
+            A - Matrix.zeros(A.nrows, A.ncols),
+            -(-A),
+            A.transpose().transpose(),
+            Matrix.identity(A.nrows) * A,
+            A * Matrix.identity(A.ncols),
+        ]
+        for B in paths:
+            assert B == A and hash(B) == hash(A)
+            assert (B.ints, B.den) == (A.ints, A.den)
+        assert A - A == Matrix.zeros(A.nrows, A.ncols) and (A - A).den == 1
+
+    def test_lowest_terms_on_construction(self):
+        half_third = Matrix.from_rows([[Q(1, 2), Q(1, 3)]])
+        assert (half_third.ints, half_third.den) == (((3, 2),), 6)
+        for ints, den in ((((6, 4),), 12), (((30, 20),), 60)):
+            same = Matrix(ints, den, 2)
+            assert same == half_third and hash(same) == hash(half_third)
+        assert Matrix(((0, 0),), 7, 2) == Matrix.zeros(1, 2)
+        with pytest.raises(ValueError):
+            Matrix(((1, 0),), 0, 2)
+        with pytest.raises(ValueError):
+            Matrix(((1, 0),), -2, 2)
+
+    def test_primitive(self):
+        A = M([Q(-2, 3), Q(4, 3)], [0, Q(10, 3)])
+        assert A.primitive() == M([-1, 2], [0, 5]) and A.primitive().den == 1
+        assert M([6, 0], [0, 6]).primitive() == Matrix.identity(2)
+        assert Matrix.zeros(2, 3).primitive() == Matrix.zeros(2, 3)
 
 
 # Integer entries that vanish or coincide mod P, so that ranks mod P can
@@ -382,7 +550,7 @@ class TestModularCertificates:
         width = data.draw(st.integers(1, 6))
         vectors = data.draw(rational_matrices(ncols=width)).rows
         span = Span(vectors, width)
-        assert span.dim == oracle_rref(Matrix(tuple(vectors), width))[2]
+        assert span.dim == oracle_rref(Matrix.from_rows(vectors, width))[2]
         for _ in range(3):
             v = data.draw(rational_matrices(nrows=1, ncols=width)).rows[0]
             assert span.contains(v) == oracle_span_contains(vectors, v)
