@@ -39,7 +39,6 @@ from .linalg import (
     Matrix,
     Span,
     Vec,
-    coordinates_in_span,
     is_invertible,
     jordan_chevalley,
     minimal_polynomial,
@@ -47,9 +46,7 @@ from .linalg import (
     nullspace,
     poly_at_matrix,
     rank_mod_p,
-    row_space_basis,
     solve_matrix,
-    span_equal,
 )
 from .polys import Poly, factor_rational, is_squarefree, poly_gcd
 from .rng import SplitMix64
@@ -113,12 +110,9 @@ class SymmetrizerAlgebra:
     def nondegenerate(self) -> bool:
         return self.dim_torus is not None
 
-    def flat_basis(self) -> list[Vec]:
-        return [b.flatten() for b in self.basis]
-
     @cached_property
     def span(self) -> Span:
-        """The basis in echelon form, for membership tests."""
+        """The basis's span; `symmetrizer_algebra` hands over the one it built."""
         return Span([b.flat_ints() for b in self.basis], self.form.nvars**2)
 
     def contains(self, g: Matrix) -> bool:
@@ -148,11 +142,11 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
         raise InvariantError("identity endomorphism missing from the algebra")
 
     if not is_nondegenerate(F):
-        return SymmetrizerAlgebra(
+        return _handing_over(span, SymmetrizerAlgebra(
             form=F, basis=basis,
             semisimple_parts=None, nilpotent_parts=None, unipotent_basis=None,
             dim_total=len(basis), dim_torus=None, dim_unipotent=None,
-        )
+        ))
 
     sems, nils = [], []
     for b in basis:
@@ -167,18 +161,24 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
         sems.append(S)
         nils.append(N)
 
-    unip_vecs = row_space_basis([N.flatten() for N in nils], width=n * n)
-    unipotent = tuple(Matrix.from_flat(n, v) for v in unip_vecs)
+    unip_span = Span([N.flat_ints() for N in nils], n * n)
+    unipotent = tuple(Matrix.from_flat(n, v) for v in unip_span.basis)
     dim_unip = len(unipotent)
     dim_torus = len(basis) - 1 - dim_unip
     if dim_torus < 0:
         raise InvariantError("split dimensions exceed the algebra dimension")
-    return SymmetrizerAlgebra(
+    return _handing_over(span, SymmetrizerAlgebra(
         form=F, basis=basis,
         semisimple_parts=tuple(sems), nilpotent_parts=tuple(nils),
         unipotent_basis=unipotent,
         dim_total=len(basis), dim_torus=dim_torus, dim_unipotent=dim_unip,
-    )
+    ))
+
+
+def _handing_over(span: Span, A: SymmetrizerAlgebra) -> SymmetrizerAlgebra:
+    """A with `span` in its cached property's slot (a copy computes its own)."""
+    vars(A)["span"] = span
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,7 @@ def kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
     witness = symmetry_violation(F, h)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
-    n = F.nvars
-    image = row_space_basis([h.column(j) for j in range(n)], width=n)
+    image = Span(h.transpose().ints, F.nvars).basis
     return pairings_vanish(F, image, nullspace(h))
 
 
@@ -408,12 +407,12 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
     F = A.form
     n, d = F.nvars, F.degree
     unip = A.unipotent_basis
-    flats = [u.flatten() for u in unip]
+    unip_span = Span([u.flat_ints() for u in unip], n * n)
     classes: dict[Vec, SquareZeroClass] = {}
 
     def register(h: Matrix, coeffs: Vec | None = None):
         if coeffs is None:
-            coeffs = coordinates_in_span(flats, h.flatten())
+            coeffs = unip_span.coordinates(h.flatten())
             if coeffs is None:
                 raise InvariantError("square-zero element left the unipotent part")
         lead = next((c for c in coeffs if c != 0), None)
@@ -425,7 +424,7 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
         hn = (Fraction(1) / lead) * h
         if not (hn * hn).is_zero:
             raise InvariantError("square-zero candidate fails h^2 = 0")
-        image = row_space_basis([hn.column(j) for j in range(n)], width=n)
+        image = Span(hn.transpose().ints, n).basis
         points = []
         for v in image:
             pt = ProjectivePoint.from_vector(v)
@@ -555,13 +554,13 @@ def fiber_invariance_check(
     algebra_match = (
         all(symmetry_violation(Fg, b) is None for b in A.basis)
         and rank_mod_p(C.ints, n * n) >= n * n - A.span.dim
-    ) or span_equal(A.flat_basis(), nullspace(C), width=n * n)
+    ) or A.span == Span(nullspace(C), n * n)
 
     kernel_F = jacobian_kernel(F)
     if kernel_F:
         ginv = g.inverse()
         transported = [ginv.apply(v) for v in kernel_F]
-        kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
+        kernel_match = Span(transported, n) == Span(jacobian_kernel(Fg), n)
         return FiberInvarianceReport(algebra_match, kernel_match, None)
     # Ker(∂F) = 0 is transported onto Ker(∂F^g) iff that is 0 too
     kernel_match = not jacobian_kernel(Fg)
@@ -794,7 +793,7 @@ def _block_algebra_sum_check(
     n = F.nvars
     B = dec.change_of_basis()
     Binv = B.inverse()
-    conjugated = [(Binv * g * B).flatten() for g in A.basis]
+    conjugated = Span([(Binv * g * B).flat_ints() for g in A.basis], n * n)
 
     embedded = []
     off = 0
@@ -803,7 +802,7 @@ def _block_algebra_sum_check(
         # E m Eᵀ is m in the diagonal block at rows and columns off..off+dim-1
         E = Matrix.from_rows([r[off:off + dim] for r in Matrix.identity(n).rows], dim)
         sub = symmetrizer_algebra(blk.form)
-        embedded += [(E * m * E.transpose()).flatten() for m in sub.basis]
+        embedded += [(E * m * E.transpose()).flat_ints() for m in sub.basis]
         off += dim
-    ok = span_equal(conjugated, embedded, width=n * n)
+    ok = conjugated == Span(embedded, n * n)
     return _passfail(ok, "block algebras do not sum to the whole algebra")

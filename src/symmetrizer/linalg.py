@@ -14,8 +14,12 @@ dividing every updated row by its gcd; the rref's denominator is the lcm
 of the pivots. By Cramer's rule every row at every step is a rational
 multiple of a vector of minors of the input; being primitive, it is that
 vector divided by its gcd, so no entry exceeds the largest minor of
-order at most rank+1, Bareiss's bound. `Span` keeps a family's integer
-echelon rows, so each membership test reduces one vector.
+order at most rank+1, Bareiss's bound. `Span`, the one subspace type,
+keeps its rows primitive with a positive pivot: the one such multiple of
+an rref row, so equal spans have equal rows. `minimal_polynomial` reduces
+the Krylov rows den·[flat(A^k) | e_k], den the denominator of A^k, so each
+tail counts multiples of A^k itself and a row whose matrix part reduces
+to zero holds the relation in its tail.
 
 Rank lower bounds come from one fixed prime P. Integer rows have a
 nonzero (r × r) minor exactly when their rank is at least r, and a minor
@@ -305,6 +309,14 @@ def _echelon(
     return rows, tuple(pivots)
 
 
+def _reduce(w: list[int], rows: Iterable[tuple[Sequence[int], int]]) -> list[int]:
+    """w reduced by (row, pivot) pairs, each row zero at the earlier pivots."""
+    for row, c in rows:
+        if w[c]:
+            w = _primitive(_eliminate(w, row, c))
+    return w
+
+
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form with pivot columns and rank.
 
@@ -358,75 +370,63 @@ def solve(M: Matrix, b: Vec) -> Vec | None:
     return None if x is None else x.column(0)
 
 
-def row_space_basis(vectors: Sequence[Vec], width: int | None = None) -> list[Vec]:
-    """Canonical basis (nonzero rref rows) of the span of the given vectors."""
-    if not vectors:
-        return []
-    red, _, rank = rref(Matrix.from_rows(vectors, width))
-    return list(red.rows[:rank])
-
-
 class Span:
-    """The span of a family of vectors of width ncols, reduced to integer
-    echelon form once, so that each membership test is one reduction."""
+    """The span of a family of vectors of width ncols, reduced once to
+    canonical integer echelon rows (see the module docstring)."""
 
     def __init__(self, vectors: Sequence[Sequence], ncols: int):
         if any(len(u) != ncols for u in vectors):
             raise ValueError("ragged rows")
         self.ncols = ncols
         rows, pivots = _echelon([integer_row(v)[1] for v in vectors], ncols)
-        self._rows = list(zip(rows, pivots))
+        self._rows = [(r if r[c] > 0 else [-x for x in r], c) for r, c in zip(rows, pivots)]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Span) and (self.ncols, self._rows) == (other.ncols, other._rows)
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def basis(self) -> list[Vec]:
+        """The nonzero rref rows, as Fractions: the canonical basis."""
+        return [tuple(Fraction(x, row[c]) for x in row) for row, c in self._rows]
+
     def contains(self, v: Sequence) -> bool:
         """Whether v (rational or integer entries) lies in the span."""
         if len(v) != self.ncols:
             raise ValueError("ragged rows")
-        _, w = integer_row(v)
-        for row, c in self._rows:
-            if w[c]:
-                w = _eliminate(w, row, c)
-        return not any(w)
+        return not any(_reduce(integer_row(v)[1], self._rows))
+
+    def coordinates(self, v: Sequence) -> Vec | None:
+        """v's coefficients over `basis` (1 at its own pivot, 0 at the
+        others): its entries at the pivot columns; None outside the span."""
+        if not self.contains(v):
+            return None
+        return vector(v[c] for _, c in self._rows)
 
 
 def span_contains(vectors: Sequence[Vec], v: Vec) -> bool:
     return Span(vectors, len(v)).contains(v)
 
 
-def span_equal(a: Sequence[Vec], b: Sequence[Vec], width: int | None = None) -> bool:
-    return row_space_basis(a, width) == row_space_basis(b, width)
-
-
-def coordinates_in_span(basis: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coefficients expressing v over the given vectors, or None.
-
-    When the vectors are dependent the returned coordinates are the ones
-    with free coefficients zeroed; callers needing uniqueness should pass
-    an independent family.
-    """
-    if not basis:
-        return () if vec_is_zero(v) else None
-    return solve(Matrix.from_rows(basis).transpose(), v)
-
-
 def minimal_polynomial(A: Matrix) -> Poly:
-    """Lowest-degree monic annihilator, found from the Krylov sequence
-    of flattened powers I, A, A², ..."""
+    """Lowest-degree monic annihilator, from one growing echelon of the
+    Krylov rows of I, A, A², ... (see the module docstring)."""
     if not A.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = A.nrows
-    powers = [Matrix.identity(n)]
-    flats = [powers[0].flatten()]
-    for k in range(1, n + 1):
-        powers.append(powers[-1] * A)
-        target = powers[-1].flatten()
-        coeffs = coordinates_in_span(flats, target)
-        if coeffs is not None:
-            return Poly.from_coeffs([-c for c in coeffs] + [Fraction(1)])
-        flats.append(target)
+    width = n * n
+    rows: list[tuple[list[int], int]] = []
+    power = Matrix.identity(n)
+    for k in range(n + 1):
+        w = _reduce(power.flat_ints() + [0] * k + [power.den] + [0] * (n - k), rows)
+        c = next((c for c in range(width) if w[c]), None)
+        if c is None:
+            return Poly.from_coeffs([Fraction(x, w[width + k]) for x in w[width:]])
+        rows.append((w, c))
+        power = power * A
     raise InvariantError("matrix not annihilated by degree-n polynomial")
 
 

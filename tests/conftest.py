@@ -17,7 +17,7 @@ import pytest
 
 from symmetrizer.corpus import GeneratorSpec, generate
 from symmetrizer.forms import SymForm
-from symmetrizer.linalg import Matrix, Vec, nullspace, span_equal
+from symmetrizer.linalg import Matrix, Vec, nullspace, rref
 from symmetrizer.polytext import parse_poly
 
 # square-zero map e0 -> e1 on three variables
@@ -112,8 +112,14 @@ def brute_force_symmetrizer_basis(F: SymForm) -> list[Matrix]:
     return [Matrix.from_flat(n, v) for v in nullspace(M)]
 
 
+def row_space(vectors, width: int) -> tuple[Vec, ...]:
+    """The nonzero rref rows of the vectors: equal exactly when the spans are."""
+    red, _, rank = rref(Matrix.from_rows(vectors, width))
+    return red.rows[:rank]
+
+
 def same_span(a: list[Matrix], b: list[Matrix], n: int) -> bool:
-    return span_equal([g.flatten() for g in a], [g.flatten() for g in b], width=n * n)
+    return row_space(flats(a), n * n) == row_space(flats(b), n * n)
 
 
 def flats(mats) -> list[Vec]:

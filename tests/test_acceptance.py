@@ -18,7 +18,6 @@ from conftest import (
     DEGENERATE_LABELS,
     H_REGULAR_3,
     brute_force_symmetrizer_basis,
-    flats,
     same_span,
 )
 from symmetrizer import cli
@@ -41,7 +40,7 @@ from symmetrizer.forms import (
     twist,
     vanishing_order,
 )
-from symmetrizer.linalg import Matrix, span_equal, vector
+from symmetrizer.linalg import Matrix, vector
 from symmetrizer.polytext import parse_poly
 
 
@@ -210,7 +209,7 @@ def test_criterion_4_direct_sum_algebras(capsys):
             for b in symmetrizer_algebra(piece).basis:
                 summands.append(_embed_matrix(b, n, offset))
             offset += size
-        if not span_equal(flats(A.basis), flats(summands), width=n * n):
+        if not same_span(A.basis, summands, n):
             failures.append(
                 f"seed {seed} ({n},{d},{blocks}): algebra != block direct sum"
             )
@@ -239,9 +238,7 @@ def test_criterion_5_fiber_round_trip(capsys, golden_nondegenerate):
             if grassmann_point(Ft) != base_point:
                 failures.append(f"{label}: J moved under a symmetrizer twist")
                 break
-            if not span_equal(
-                A.flat_basis(), symmetrizer_algebra(Ft).flat_basis(), width=n * n
-            ):
+            if not same_span(A.basis, symmetrizer_algebra(Ft).basis, n):
                 failures.append(f"{label}: algebra span changed under twist")
                 break
             if recover_symmetrizer(F, Ft) != g:

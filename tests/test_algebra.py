@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 
-from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, flats
+from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, same_span
 from test_evaluators import forms, oracle_embed_form, oracle_restrict_form
 from symmetrizer.algebra import (
     FiberMismatchError,
@@ -36,9 +36,9 @@ from symmetrizer.forms import (
 from symmetrizer.linalg import (
     InvariantError,
     Matrix,
+    Span,
     minimal_polynomial,
     nilpotency_index,
-    span_equal,
     vector,
 )
 from symmetrizer.polys import Poly, factor_rational
@@ -56,6 +56,20 @@ class TestConstraintSystem:
         M = constraint_matrix(CUSP)
         assert M.nrows == 2
         assert M.ncols == 4
+
+    def test_span_is_handed_over(self, monkeypatch, golden_corpus):
+        built = []
+        init = Span.__init__
+        monkeypatch.setattr(
+            Span, "__init__", lambda span, *args: built.append(args) or init(span, *args)
+        )
+        for F in (WHITNEY, golden_corpus["cone_3_3"]):
+            A = symmetrizer_algebra(F)
+            built.clear()
+            assert A.contains(Matrix.identity(F.nvars)) and not built
+            # a copy spans its own basis
+            no_identity = replace(A, basis=A.basis[1:])
+            assert no_identity.span.dim == A.span.dim - 1 and len(built) == 1
 
     def test_nullspace_matches_membership(self):
         A = symmetrizer_algebra(WHITNEY)
@@ -75,15 +89,15 @@ class TestWorkedExamples:
     def test_cusp_unipotent_basis(self):
         A = symmetrizer_algebra(CUSP)
         h = Matrix.from_rows([[0, 0], [1, 0]])
-        assert span_equal(flats(A.unipotent_basis), flats([h]), width=4)
+        assert same_span(A.unipotent_basis, [h], 2)
 
     def test_whitney_spanned_by_identity_and_nilpotent_powers(self):
         A = symmetrizer_algebra(WHITNEY)
         assert (A.dim_total, A.dim_torus, A.dim_unipotent) == (3, 0, 2)
         h = H_REGULAR_3
         expected = [Matrix.identity(3), h, h * h]
-        assert span_equal(flats(A.basis), flats(expected), width=9)
-        assert span_equal(flats(A.unipotent_basis), flats([h, h * h]), width=9)
+        assert same_span(A.basis, expected, 3)
+        assert same_span(A.unipotent_basis, [h, h * h], 3)
 
     def test_norm_form_torus(self):
         A = symmetrizer_algebra(NORM)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import flats, row_space, same_span
 from symmetrizer import algebra, linalg
 from symmetrizer.algebra import (
     CheckResult,
@@ -58,7 +59,7 @@ from symmetrizer.forms import (
     symmetry_violation,
     twist,
 )
-from symmetrizer.linalg import Matrix, nullspace, row_space_basis, rref, span_equal
+from symmetrizer.linalg import Matrix, nullspace, rref
 from symmetrizer.polys import Poly
 from symmetrizer.polytext import parse_poly
 from symmetrizer.rng import SplitMix64
@@ -113,7 +114,7 @@ def oracle_kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
     if witness is not None:
         raise NotASymmetrizerError(*witness)
     n = F.nvars
-    image = row_space_basis([h.column(j) for j in range(n)], width=n)
+    image = row_space([h.column(j) for j in range(n)], n)
     return oracle_pairings_vanish(F, image, nullspace(h))
 
 
@@ -161,12 +162,10 @@ def oracle_fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceRepor
     if g.rank() != n:
         raise ValueError("twisting element must be invertible")
     Fg = twist(F, g, check=False)
-    span_F = [b.flatten() for b in symmetrizer_algebra(F).basis]
-    span_Fg = [b.flatten() for b in symmetrizer_algebra(Fg).basis]
-    algebra_match = span_equal(span_F, span_Fg, width=n * n)
+    algebra_match = same_span(symmetrizer_algebra(F).basis, symmetrizer_algebra(Fg).basis, n)
     ginv = g.inverse()
     transported = [ginv.apply(v) for v in jacobian_kernel(F)]
-    kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
+    kernel_match = row_space(transported, n) == row_space(jacobian_kernel(Fg), n)
     grassmann_match = (
         grassmann_point(F) == grassmann_point(Fg) if is_nondegenerate(F) else None
     )
@@ -186,11 +185,11 @@ def oracle_nullspace_fiber_invariance_check(
         raise ValueError("twisting element must be invertible")
     Fg = twist(F, g, check=False)
     span_Fg = nullspace(constraint_matrix(Fg))
-    algebra_match = span_equal(A.flat_basis(), span_Fg, width=n * n)
+    algebra_match = row_space(flats(A.basis), n * n) == row_space(span_Fg, n * n)
     kernel_F = jacobian_kernel(F)
     ginv = g.inverse()
     transported = [ginv.apply(v) for v in kernel_F]
-    kernel_match = span_equal(transported, jacobian_kernel(Fg), width=n)
+    kernel_match = row_space(transported, n) == row_space(jacobian_kernel(Fg), n)
     grassmann_match = None if kernel_F else grassmann_point(F) == grassmann_point(Fg)
     return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
 
@@ -215,10 +214,10 @@ def oracle_sample_invertible_symmetrizers(F, A, seed, count) -> list[Matrix]:
 
 def oracle_algebra_closure_check(A) -> ClosureReport:
     """Fraction products, each tested by exact ranks of the whole basis."""
-    flats = A.flat_basis()
+    basis = flats(A.basis)
     width = A.form.nvars ** 2
     rank = lambda vs: Matrix.from_rows(vs, width).rank()
-    in_span = lambda v: rank(flats + [v]) == rank(flats)
+    in_span = lambda v: rank(basis + [v]) == rank(basis)
     pairs = []
     for i, gi in enumerate(A.basis):
         for j in range(i, len(A.basis)):

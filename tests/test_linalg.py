@@ -12,7 +12,6 @@ from symmetrizer.linalg import (
     P,
     Matrix,
     Span,
-    coordinates_in_span,
     integer_row,
     is_invertible,
     jordan_chevalley,
@@ -25,7 +24,6 @@ from symmetrizer.linalg import (
     solve,
     solve_matrix,
     span_contains,
-    span_equal,
     vector,
 )
 from symmetrizer.polys import Poly, is_squarefree
@@ -124,6 +122,31 @@ def oracle_span_contains(vectors, v) -> bool:
         return True
     rank = lambda rows: len(gauss_jordan(rows, len(v))[1])
     return rank(list(vectors) + [v]) == rank(vectors)
+
+
+def oracle_row_space(vectors, width: int) -> list[tuple]:
+    """The nonzero rows of the Fraction rref: the canonical basis."""
+    rows, pivots = gauss_jordan(list(vectors), width)
+    return [tuple(r) for r in rows[:len(pivots)]]
+
+
+def oracle_minimal_polynomial(A: Matrix) -> Poly:
+    """Krylov on Fraction rows: the first power A^k whose flattening
+    solves as a combination of the lower ones, by Gauss-Jordan on the
+    columns flat(A^0), ..., flat(A^(k-1)) beside flat(A^k)."""
+    n = A.nrows
+    flats = []
+    for k in range(n + 1):
+        target = [e for r in oracle_power_rows(A, k) for e in r]
+        system = [[f[p] for f in flats] + [target[p]] for p in range(n * n)]
+        rows, pivots = gauss_jordan(system, k + 1)
+        if k not in pivots:
+            coeffs = [Q(0)] * k
+            for r, c in enumerate(pivots):
+                coeffs[c] = rows[r][k]
+            return Poly.from_coeffs([-c for c in coeffs] + [Q(1)])
+        flats.append(target)
+    raise AssertionError("Cayley-Hamilton bounds the degree by n")
 
 
 def oracle_poly_at_matrix(p: Poly, A: Matrix) -> list[list[Q]]:
@@ -244,25 +267,102 @@ class TestEchelon:
 
 
 class TestSpans:
-    def test_span_equal_under_row_operations(self):
+    def test_equal_under_row_operations(self):
         a = [vector([1, 0, 1]), vector([0, 1, 0])]
         b = [vector([1, 1, 1]), vector([2, -1, 2])]
-        assert span_equal(a, b)
-        assert not span_equal(a, [vector([1, 0, 0])])
+        assert Span(a, 3) == Span(b, 3)
+        assert Span(a, 3) != Span([vector([1, 0, 0])], 3)
 
     def test_span_contains(self):
         basis = [vector([1, 0]), vector([1, 1])]
         assert span_contains(basis, vector([0, 5]))
         assert not span_contains([vector([1, 0])], vector([0, 1]))
 
-    def test_coordinates_in_span(self):
-        basis = [vector([1, 0, 0]), vector([0, 2, 0])]
-        assert coordinates_in_span(basis, vector([3, 4, 0])) == (Q(3), Q(2))
-        assert coordinates_in_span(basis, vector([0, 0, 1])) is None
+    def test_coordinates_over_the_canonical_basis(self):
+        span = Span([vector([1, 0, 0]), vector([0, 2, 0])], 3)
+        assert span.basis == [vector([1, 0, 0]), vector([0, 1, 0])]
+        assert span.coordinates(vector([3, 4, 0])) == (Q(3), Q(4))
+        assert span.coordinates(vector([0, 0, 1])) is None
+
+    def test_basis_is_the_rref(self):
+        span = Span([vector([2, 4, 6]), vector([1, 1, 1]), vector([3, 5, 7])], 3)
+        assert span.basis == [vector([1, 0, -1]), vector([0, 1, 2])]
+
+    def test_negative_pivots_and_zero_rows(self):
+        assert Span([vector([-2, 4]), vector([0, 0])], 2) == Span([vector([1, -2])], 2)
+        assert Span([vector([0, -3, Q(1, 2)])], 3).basis == [vector([0, 1, Q(-1, 6)])]
 
     def test_empty_span(self):
-        assert span_equal([], [], width=4)
+        assert Span([], 4) == Span([vector([0, 0, 0, 0])], 4)
+        assert Span([], 4) != Span([], 3)
+        assert Span([], 4).basis == [] and Span([], 4).coordinates((0,) * 4) == ()
         assert not span_contains([], vector([1]))
+
+
+@st.composite
+def span_pairs(draw):
+    """(a, b, width): a a family of rational rows, b another family that
+    often spans the same space: integer combinations of a's rows, its
+    negation, its reversal padded with zero rows, or an unrelated draw."""
+    width = draw(st.integers(0, 5))
+    a = list(draw(rational_matrices(ncols=width)).rows)
+    how = draw(st.sampled_from(["combinations", "negated", "reversed", "other"]))
+    if how == "combinations":
+        weights = st.lists(st.integers(-3, 3), min_size=len(a), max_size=len(a))
+        b = [
+            tuple(sum((w * u[j] for w, u in zip(ws, a)), Q(0)) for j in range(width))
+            for ws in draw(st.lists(weights, max_size=len(a) + 1))
+        ]
+    elif how == "negated":
+        b = [tuple(-e for e in u) for u in a]
+    elif how == "reversed":
+        b = a[::-1] + [(Q(0),) * width] * draw(st.integers(0, 2))
+    else:
+        b = list(draw(rational_matrices(ncols=width)).rows)
+    return a, b, width
+
+
+class TestSpanMatchesOracles:
+    """Span against Fraction Gauss-Jordan: equality, the canonical basis
+    and coordinates, on empty families, zero rows and negative pivots."""
+
+    @given(span_pairs())
+    @settings(deadline=None, max_examples=300)
+    def test_equal_exactly_when_the_rrefs_agree(self, pair):
+        a, b, width = pair
+        same = oracle_row_space(a, width) == oracle_row_space(b, width)
+        assert (Span(a, width) == Span(b, width)) == same
+        assert (Span(a, width) != Span(b, width)) == (not same)
+
+    @given(rational_matrices())
+    @settings(deadline=None, max_examples=200)
+    def test_basis_is_the_oracle_rref(self, A):
+        span = Span(A.rows, A.ncols)
+        assert span.basis == oracle_row_space(A.rows, A.ncols)
+        assert span.dim == len(span.basis)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_coordinates_rebuild_members(self, data):
+        width = data.draw(st.integers(0, 5))
+        vectors = data.draw(rational_matrices(ncols=width)).rows
+        span = Span(vectors, width)
+        combo = [data.draw(rationals) for _ in vectors]
+        member = tuple(
+            sum((Q(c) * u[j] for c, u in zip(combo, vectors)), Q(0)) for j in range(width)
+        )
+        other = data.draw(rational_matrices(nrows=1, ncols=width)).rows[0]
+        for v in (member, other):
+            coords = span.coordinates(v)
+            if not oracle_span_contains(vectors, v):
+                assert coords is None
+                continue
+            assert len(coords) == span.dim
+            rebuilt = tuple(
+                sum((c * b[j] for c, b in zip(coords, span.basis)), Q(0))
+                for j in range(width)
+            )
+            assert rebuilt == tuple(Q(e) for e in v)
 
 
 def companion(*ascending_monic_tail) -> Matrix:
@@ -295,6 +395,15 @@ class TestMinimalPolynomial:
         p = minimal_polynomial(A)
         assert p.leading == 1
         assert poly_at_matrix(p, A).is_zero
+
+    def test_fractional_scalar(self):
+        # the Krylov rows carry each power's denominator
+        assert minimal_polynomial(M([Q(1, 2)])) == Poly.from_coeffs([Q(-1, 2), Q(1)])
+
+    @given(square_matrices(4))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_the_krylov_oracle(self, A):
+        assert minimal_polynomial(A) == oracle_minimal_polynomial(A)
 
 
 class TestJordanChevalley:
