@@ -211,8 +211,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _integer(value, key: str) -> int:
-    """int(value) for a spec field, refusing a number with a fractional part."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) for a spec field that holds an integral JSON number;
+    booleans, strings and numbers with a fractional part are refused."""
+    integral = type(value) is int or (type(value) is float and value.is_integer())
+    if not integral:
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
 

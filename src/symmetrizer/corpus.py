@@ -10,7 +10,6 @@ fully determines the output, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -102,7 +101,8 @@ def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
 
     Same equations as the symmetrizer constraint system, read the other
     way: h is fixed and the unknowns are the polynomial coefficients,
-    entering through the polarization factor alpha!/d!.
+    entering through the polarization factor alpha!/d!. Every row is an
+    integer row over the one denominator h.den * d!.
     """
     n, d = h.nrows, degree
     monos = enumerate_monomials(n, d)
@@ -111,19 +111,17 @@ def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
     for i in range(n):
         for j in range(i + 1, n):
             for beta in enumerate_monomials(n, d - 2):
-                row = [Fraction(0)] * len(monos)
+                row = [0] * len(monos)
                 for k in range(n):
                     # h[k][i] F(e_k, e_j, e^beta) - h[k][j] F(e_k, e_i, e^beta)
                     for col, other, sign in ((i, j, 1), (j, i, -1)):
-                        if h.entry(k, col):
+                        if h.ints[k][col]:
                             alpha = tuple(b + (t == k) + (t == other) for t, b in enumerate(beta))
-                            row[index[alpha]] += sign * h.entry(k, col) * Fraction(
-                                alpha_factorial(alpha), factorial(d)
-                            )
-                rows.append(row)
-    basis = nullspace(Matrix.from_rows(rows, len(monos)))
+                            row[index[alpha]] += sign * h.ints[k][col] * alpha_factorial(alpha)
+                rows.append(tuple(row))
+    basis = nullspace(Matrix(tuple(rows), h.den * factorial(d), len(monos)))
     return [
-        SymForm.from_coeffs(n, d, dict(zip(monos, v)))
+        SymForm.from_coeffs(n, d, {a: c for a, c in zip(monos, v) if c})
         for v in basis
     ]
 
@@ -167,11 +165,13 @@ def generate(spec: GeneratorSpec) -> SymForm:
         raise GeneratorError("only the zero form admits this symmetrizer")
     rng = SplitMix64(spec.seed)
     for _ in range(RETRY_CAP):
-        F = SymForm.zero(n, d)
+        coeffs = {}
         for b in space:
             c = rng.int_in(-spec.coefficient_bound, spec.coefficient_bound)
             if c:
-                F = F + c * b
+                for alpha, v in b.terms:
+                    coeffs[alpha] = coeffs.get(alpha, 0) + c * v
+        F = SymForm.from_coeffs(n, d, coeffs)
         if F.is_zero or not is_nondegenerate(F):
             continue
         if symmetry_violation(F, spec.nilpotent) is not None:

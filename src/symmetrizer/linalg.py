@@ -27,6 +27,11 @@ nonzero mod P is nonzero, so `rank_mod_p` reaching a bound proves it
 (the certificate of Dixon's modular method). It falls short only when P
 divides every such minor; callers then run the exact elimination, so no
 answer depends on P.
+
+The same prime gives a second certificate, in `jordan_chevalley`: a
+minimal polynomial that `polys.is_squarefree` proves squarefree mod P
+(with the exact gcd as fallback) shows A semisimple, so S = A and N = 0
+without the Newton iteration.
 """
 
 from __future__ import annotations
@@ -39,11 +44,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polys import Poly, squarefree_part
+from .polys import P, Poly, is_squarefree, squarefree_part
 
 Vec = tuple[Fraction, ...]
-
-P = 2**61 - 1  # the prime of the modular rank certificates
 
 
 class InvariantError(RuntimeError):
@@ -444,24 +447,27 @@ def poly_at_matrix(p: Poly, A: Matrix) -> Matrix:
 def jordan_chevalley(A: Matrix) -> tuple[Matrix, Matrix]:
     """Split A = S + N with S semisimple, N nilpotent, S N = N S.
 
-    Newton iteration on the squarefree part P of the minimal polynomial:
-    S ← S − P(S)·P′(S)⁻¹. P′(S) stays invertible throughout because P is
-    squarefree, and the iteration lands in at most ⌈log₂ n⌉ steps. Both
-    parts are polynomials in A, hence commute with everything commuting
-    with A.
+    When the minimal polynomial m is squarefree, m(A) = 0 already shows A
+    semisimple: S = A. Otherwise Newton iteration on the squarefree part
+    q of m: S ← S − q(S)·q′(S)⁻¹. q′(S) stays invertible throughout
+    because q is squarefree, and the iteration lands in at most
+    ⌈log₂ n⌉ steps. Both parts are polynomials in A, hence commute with
+    everything commuting with A.
     """
     if not A.is_square:
         raise ValueError("decomposition of a non-square matrix")
     n = A.nrows
-    P = squarefree_part(minimal_polynomial(A))
-    dP = P.derivative()
+    m = minimal_polynomial(A)
     S = A
-    budget = (n - 1).bit_length() + 1
-    while not (PS := poly_at_matrix(P, S)).is_zero:
-        if budget == 0:
-            raise InvariantError("semisimple-part iteration failed to converge")
-        budget -= 1
-        S = S - PS * poly_at_matrix(dP, S).inverse()
+    if not is_squarefree(m):
+        q = squarefree_part(m)
+        dq = q.derivative()
+        budget = (n - 1).bit_length() + 1
+        while not (qS := poly_at_matrix(q, S)).is_zero:
+            if budget == 0:
+                raise InvariantError("semisimple-part iteration failed to converge")
+            budget -= 1
+            S = S - qS * poly_at_matrix(dq, S).inverse()
     N = A - S
     if S * N != N * S or S * A != A * S:
         raise InvariantError("split parts stopped commuting")

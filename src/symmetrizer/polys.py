@@ -5,6 +5,16 @@ irreducibles. Factorization runs Zassenhaus: factor modulo a small prime,
 Hensel-lift, recombine. The engine only factors minimal polynomials of
 n×n matrices, so degrees stay at most n; coefficients can be arbitrarily
 large without hurting the running time.
+
+`is_squarefree` first tries a certificate modulo the prime P that
+`linalg` also uses (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 6 and 14). Let f be the primitive integer multiple of the input. If
+P does not divide deg(f)·lc(f), reduction mod P keeps the degrees of f
+and f′, and a square factor g² of f over the rationals (by Gauss's lemma
+an integer one, with lc(g) dividing lc(f)) stays a square factor of the
+same degree mod P. So gcd(f mod P, f′ mod P) = 1 proves f squarefree.
+In every other case the exact gcd over the rationals decides: the answer
+True is always a proof, and no answer depends on P.
 """
 
 from __future__ import annotations
@@ -15,6 +25,9 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, lcm
 from typing import Iterable, Iterator
+
+P = 2**61 - 1  # the prime of the modular certificates, here and in linalg
+
 
 @dataclass(frozen=True)
 class Poly:
@@ -182,14 +195,24 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def is_squarefree(p: Poly) -> bool:
-    return p.degree <= 0 or poly_gcd(p, p.derivative()).degree == 0
+    """Whether p has no repeated factor over the rationals: certified mod
+    P when it can be (see the module docstring), else by the exact gcd."""
+    if p.degree <= 0:
+        return True
+    f = _to_primitive_int(p)
+    if (p.degree * f[-1]) % P:
+        fp = [c % P for c in f]
+        dfp = [i * c % P for i, c in enumerate(fp) if i]
+        if len(_mp_gcd(fp, dfp, P)) == 1:
+            return True
+    return poly_gcd(p, p.derivative()).degree == 0
 
 
 def _to_primitive_int(p: Poly) -> list[int]:
     """Scale a nonzero rational polynomial to a primitive integer one
     with positive leading coefficient."""
     denom = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    ints = [int(c * denom) for c in p.coeffs]
+    ints = [c.numerator * (denom // c.denominator) for c in p.coeffs]
     content = int_gcd(*ints)
     ints = [v // content for v in ints]
     if ints[-1] < 0:

@@ -307,6 +307,32 @@ class TestCensus:
         assert field in err
         assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"kind": "fermat", "nvars": 3, "degree": 3, "seed": True},
+             "'seed' must be an integer, got True"),
+            ({"kind": "fermat", "nvars": "3", "degree": 3, "seed": 1},
+             "'nvars' must be an integer, got '3'"),
+            ({"kind": "fermat", "nvars": 3, "degree": "3.0", "seed": 1},
+             "'degree' must be an integer, got '3.0'"),
+            ({"kind": "random", "nvars": 3, "degree": 3, "seed": 1, "bound": False},
+             "'bound' must be an integer, got False"),
+            ({"kind": "st_sum", "nvars": 3, "degree": 3, "blocks": [True, 2]},
+             "'blocks' must be an integer, got True"),
+        ],
+    )
+    def test_boolean_or_string_integer_field_aborts_with_exit_2(
+        self, capsys, tmp_path, bad, message
+    ):
+        # bool is an int subclass and int("3") parses: neither may slip through
+        path = tmp_path / "specs.jsonl"
+        path.write_text(self.spec_lines([0])[0] + "\n" + json.dumps(bad) + "\n")
+        code, out, err = run(capsys, "census", str(path))
+        assert code == 2
+        assert err == f"input error: line 2: {message}\n"
+        assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
+
     def test_integral_float_fields_still_run(self, capsys, tmp_path):
         path = tmp_path / "specs.jsonl"
         path.write_text(

@@ -1,6 +1,11 @@
 """Form generators: determinism, family shapes, census records."""
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import H_REGULAR_3, H_SQUARE_ZERO_3
 from symmetrizer.algebra import symmetrizer_algebra
@@ -13,13 +18,17 @@ from symmetrizer.corpus import (
     nilpotent_form_space,
 )
 from symmetrizer.forms import (
+    SymForm,
+    alpha_factorial,
     compose_linear,
+    enumerate_monomials,
     is_nondegenerate,
     is_symmetrizer,
     jacobian_kernel,
+    monomial_index,
     symmetry_violation,
 )
-from symmetrizer.linalg import Matrix, solve, vector
+from symmetrizer.linalg import Matrix, nilpotency_index, nullspace, solve, vector
 from symmetrizer.polytext import parse_poly
 from symmetrizer.rng import GAMMA, MASK64, MIX1, MIX2, SplitMix64
 
@@ -126,6 +135,67 @@ class TestPrescribedNilpotent:
         assert is_nondegenerate(F)
         assert is_symmetrizer(F, H_SQUARE_ZERO_3)
         assert symmetrizer_algebra(F).contains(H_SQUARE_ZERO_3)
+
+
+def oracle_nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
+    """The form space from Fraction rows: each entry h[k][col]·alpha!/d!
+    accumulated as a rational, every coefficient (zeros too) handed to
+    from_coeffs."""
+    n, d = h.nrows, degree
+    monos = enumerate_monomials(n, d)
+    index = monomial_index(n, d)
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for beta in enumerate_monomials(n, d - 2):
+                row = [Fraction(0)] * len(monos)
+                for k in range(n):
+                    for col, other, sign in ((i, j, 1), (j, i, -1)):
+                        if h.entry(k, col):
+                            alpha = tuple(b + (t == k) + (t == other) for t, b in enumerate(beta))
+                            row[index[alpha]] += sign * h.entry(k, col) * Fraction(
+                                alpha_factorial(alpha), factorial(d)
+                            )
+                rows.append(row)
+    basis = nullspace(Matrix.from_rows(rows, len(monos)))
+    return [SymForm.from_coeffs(n, d, dict(zip(monos, v))) for v in basis]
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 5]))
+
+
+@st.composite
+def nilpotent_matrices(draw):
+    """A strictly lower triangular rational matrix, conjugated by a
+    permutation and by I + c·E_ij, so entries and denominators spread."""
+    n = draw(st.integers(2, 4))
+    L = [[draw(small_rationals) if j < i else 0 for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    Pm = Matrix.from_rows([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    c = draw(small_rationals) if i != j else 0
+    # U = c·E_ij squares to zero, so I - U inverts I + U
+    U = Matrix.from_rows([[c if (r, s) == (i, j) else 0 for s in range(n)] for r in range(n)])
+    I = Matrix.identity(n)
+    h = (I + U) * Pm * Matrix.from_rows(L) * Pm.transpose() * (I - U)
+    assert nilpotency_index(h) is not None
+    return h
+
+
+class TestFormSpaceMatchesOracle:
+    # the benchmark only draws integer square-zero h, so the denominator
+    # h.den of the integer rows is exercised here
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_fractional_chain(self, degree):
+        h = Matrix.from_rows([[0, 0, 0], [Fraction(1, 2), 0, 0], [0, 3, 0]])
+        assert h.den == 2
+        space = nilpotent_form_space(h, degree)
+        assert space and space == oracle_nilpotent_form_space(h, degree)
+
+    @given(nilpotent_matrices(), st.sampled_from([3, 4]))
+    @settings(deadline=None, max_examples=40)
+    def test_random_nilpotent(self, h, degree):
+        assert nilpotent_form_space(h, degree) == oracle_nilpotent_form_space(h, degree)
 
 
 class TestSpecValidation:

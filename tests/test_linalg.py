@@ -26,7 +26,7 @@ from symmetrizer.linalg import (
     span_contains,
     vector,
 )
-from symmetrizer.polys import Poly, is_squarefree
+from symmetrizer.polys import Poly, is_squarefree, squarefree_part
 
 
 def M(*rows) -> Matrix:
@@ -426,6 +426,72 @@ class TestJordanChevalley:
         assert S * N == N * S
         assert nilpotency_index(N) is not None
         assert is_squarefree(minimal_polynomial(S))
+
+
+def newton_jordan_chevalley(A: Matrix) -> tuple[Matrix, Matrix]:
+    """The split by Newton iteration alone, on the squarefree part q of
+    the oracle minimal polynomial, with no squarefree shortcut."""
+    q = squarefree_part(oracle_minimal_polynomial(A))
+    dq = q.derivative()
+    S = A
+    while not (qS := poly_at_matrix(q, S)).is_zero:
+        S = S - qS * poly_at_matrix(dq, S).inverse()
+    return S, A - S
+
+
+def block_diagonal(*blocks: Matrix) -> Matrix:
+    n = sum(b.nrows for b in blocks)
+    rows, off = [], 0
+    for b in blocks:
+        for r in b.rows:
+            rows.append([Q(0)] * off + list(r) + [Q(0)] * (n - off - b.nrows))
+        off += b.nrows
+    return Matrix.from_rows(rows, n)
+
+
+SPLIT_CASES = {
+    "scalar": Matrix.identity(3) * Q(-7, 2),
+    "one_by_one": M([Q(5, 3)]),
+    "zero_one_by_one": M([0]),
+    "nilpotent": M([0, 0, 0], [Q(1, 2), 0, 0], [0, 3, 0]),
+    "square_zero": M([0, 0], [1, 0]),
+    "companion_t2_minus_2": companion(-2, 0),
+    "companion_t2_plus_1": companion(1, 0),
+    "jordan_blocks": block_diagonal(
+        M([3, 0], [1, 3]), M([3]), M([Q(-1, 2), 0, 0], [1, Q(-1, 2), 0], [0, 1, Q(-1, 2)])
+    ),
+    # [[C, 0], [I, C]] with C the companion of t^2 + 1: minimal polynomial (t^2 + 1)^2
+    "jordan_block_of_a_companion": M(
+        [0, -1, 0, 0], [1, 0, 0, 0], [1, 0, 0, -1], [0, 1, 1, 0]
+    ),
+    "semisimple_and_nilpotent": block_diagonal(companion(-2, 0), M([4, 0], [Q(2, 7), 4])),
+}
+
+
+class TestJordanChevalleyMatchesNewton:
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    def test_known_cases(self, name):
+        A = SPLIT_CASES[name]
+        assert jordan_chevalley(A) == newton_jordan_chevalley(A)
+
+    @given(square_matrices(4))
+    @settings(deadline=None, max_examples=150)
+    def test_rational_matrices(self, A):
+        assert jordan_chevalley(A) == newton_jordan_chevalley(A)
+
+    @pytest.mark.parametrize(
+        "name", ["scalar", "one_by_one", "zero_one_by_one", "companion_t2_minus_2",
+                 "companion_t2_plus_1"],
+    )
+    def test_semisimple_skips_the_newton_loop(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Newton loop entered for a semisimple matrix")
+
+        monkeypatch.setattr(linalg, "squarefree_part", refuse)
+        monkeypatch.setattr(linalg, "poly_at_matrix", refuse)
+        A = SPLIT_CASES[name]
+        S, N = jordan_chevalley(A)
+        assert S == A and N.is_zero
 
 
 class TestNilpotency:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symmetrizer import polys
 from symmetrizer.polys import (
+    P as PRIME,
     Poly,
     factor_rational,
     is_squarefree,
@@ -87,6 +89,66 @@ class TestGcd:
         assert squarefree_part(p) == P(-1, 1) * P(2, 1)
         assert is_squarefree(squarefree_part(p))
         assert not is_squarefree(p)
+
+
+class TestSquarefreeCertificate:
+    """is_squarefree proves True mod PRIME when PRIME ∤ deg·lc of the
+    primitive integer multiple, and otherwise asks the exact gcd."""
+
+    @pytest.fixture
+    def exact_gcds(self, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(polys, "poly_gcd", spy)
+        return calls
+
+    def test_certified_without_the_exact_gcd(self, exact_gcds):
+        assert is_squarefree(P(-2, 0, 1))
+        assert is_squarefree(P(Q(1, 3), Q(-5, 7), 0, Q(2, 9)))
+        assert exact_gcds == []
+
+    def test_square_mod_p_takes_the_exact_fallback(self, exact_gcds):
+        # t(t - P) is squarefree over Q but reduces to t^2 mod P
+        assert is_squarefree(P(0, -PRIME, 1))
+        assert len(exact_gcds) == 1
+
+    def test_p_dividing_the_leading_coefficient_takes_the_exact_fallback(self, exact_gcds):
+        # the primitive integer multiple of t^2 - 1/P is P t^2 - 1
+        assert is_squarefree(P(Q(-1, PRIME), 0, 1))
+        assert len(exact_gcds) == 1
+
+    def test_square_hidden_by_the_leading_coefficient(self):
+        # (t + 1/P)^2 has integer multiple (P t + 1)^2, which is 1 mod P:
+        # only the guard on lc keeps the certificate from accepting it
+        assert not is_squarefree(P(Q(1, PRIME), 1) ** 2)
+        assert not is_squarefree(P(Q(1, PRIME), 1) ** 2 * P(0, 1))
+
+    def test_repeated_root_is_refused(self, exact_gcds):
+        assert not is_squarefree(P(-1, 1) ** 2 * P(2, 1))  # (t - 1)^2 (t + 2)
+        assert len(exact_gcds) == 1
+
+    def test_constant_and_linear(self):
+        assert is_squarefree(P(Q(3, PRIME)))
+        assert is_squarefree(P(0, PRIME))
+
+    @given(
+        st.lists(
+            st.builds(Q, st.integers(-9, 9), st.sampled_from([1, 2, PRIME])),
+            min_size=1, max_size=4,
+        ),
+        st.lists(st.builds(Q, st.integers(-3, 3), st.sampled_from([1, PRIME])),
+                 min_size=0, max_size=3),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_matches_the_exact_gcd(self, coeffs, square):
+        p = P(*coeffs) * P(*square) ** 2
+        if p.is_zero:
+            return
+        assert is_squarefree(p) == (p.degree <= 0 or poly_gcd(p, p.derivative()).degree == 0)
 
 
 # Hand-derived factorizations, frozen before the implementation ran.

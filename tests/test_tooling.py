@@ -21,7 +21,10 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 
 # Recorded command lines with their exit code, stdout and stderr: one pass
 # over the 15 analyze_grid cells, one 20-spec census chunk and five
-# recover pairs, the inputs of perfbench/workloads.py at seed 1. A change
+# recover pairs, the inputs of perfbench/workloads.py at seed 1; then
+# hand-picked cases the workloads miss (check, generate, the Fermat
+# probes, dim U of 2 and 3, and a census of regular and fractional
+# nilpotents and three-block sums at degrees 3 and 4). A change
 # that keeps every output must keep these bytes. After an intended output
 # change, rewrite the expectations with `PYTHONPATH=src python
 # tests/test_tooling.py` and review the diff.
