@@ -8,6 +8,18 @@ decompositions of F from the torus, locates the singular points forced
 by square-zero nilpotents, and transports forms along shared Jacobian
 images. Identity checks over all of these are bundled at the end; a
 failing check is an engine bug, never a property of the input.
+
+The unipotent part of a nondegenerate g_F is the radical of its trace
+form (x, y) -> tr(xy) (Dickson's criterion): the kernel of the Gram
+matrix G_ij = tr(b_i b_j) on the basis. (a) A nilpotent x commuting with
+y makes xy nilpotent, so tr(xy) = 0; (b) a radical x has tr(x^m) = 0 for
+every m >= 1, so x is nilpotent in characteristic 0. So the radical is
+exactly the set of nilpotent elements of the commutative algebra g_F,
+which is the span of the Jordan–Chevalley nilpotent parts of the basis;
+full rank of G mod P proves it zero. The split parts themselves are
+computed only when something asks for them: the torus for
+`st_decompose`, and both parts for the split checks of the suite, which
+compare their spans with the radical.
 """
 
 from __future__ import annotations
@@ -15,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .forms import (
@@ -39,6 +52,7 @@ from .linalg import (
     Matrix,
     Span,
     Vec,
+    integer_row,
     is_invertible,
     jordan_chevalley,
     minimal_polynomial,
@@ -95,12 +109,12 @@ class SymmetrizerAlgebra:
     The split fields are None when the form is degenerate: commutativity
     can fail there, and with it the meaning of the torus/unipotent split.
     dim_total = 1 + dim_torus + dim_unipotent always holds when populated.
+    `unipotent_basis` is the trace-form radical; the Jordan–Chevalley
+    parts of the basis elements are computed on first access.
     """
 
     form: SymForm
     basis: tuple[Matrix, ...]
-    semisimple_parts: tuple[Matrix, ...] | None
-    nilpotent_parts: tuple[Matrix, ...] | None
     unipotent_basis: tuple[Matrix, ...] | None
     dim_total: int
     dim_torus: int | None
@@ -117,6 +131,35 @@ class SymmetrizerAlgebra:
 
     def contains(self, g: Matrix) -> bool:
         return self.span.contains(g.flat_ints())
+
+    @cached_property
+    def semisimple_parts(self) -> tuple[Matrix, ...] | None:
+        """The semisimple Jordan–Chevalley part of each basis element, or
+        None when the form is degenerate."""
+        return self._split[0]
+
+    @cached_property
+    def nilpotent_parts(self) -> tuple[Matrix, ...] | None:
+        """The nilpotent Jordan–Chevalley part of each basis element, or
+        None when the form is degenerate."""
+        return self._split[1]
+
+    @cached_property
+    def _split(self) -> tuple[tuple[Matrix, ...] | None, tuple[Matrix, ...] | None]:
+        if not self.nondegenerate:
+            return None, None
+        sems, nils = [], []
+        for b in self.basis:
+            S, N = jordan_chevalley(b)
+            # both parts are polynomials in b, so closure keeps them in g_F;
+            # violation would mean the nullspace itself is wrong
+            if not (self.contains(S) and self.contains(N)):
+                raise InvariantError("semisimple/nilpotent part left the algebra")
+            if nilpotency_index(N) is None:
+                raise InvariantError("nilpotent part is not nilpotent")
+            sems.append(S)
+            nils.append(N)
+        return tuple(sems), tuple(nils)
 
     @cached_property
     def decomposition(self) -> STDecomposition | None:
@@ -143,36 +186,42 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
 
     if not is_nondegenerate(F):
         return _handing_over(span, SymmetrizerAlgebra(
-            form=F, basis=basis,
-            semisimple_parts=None, nilpotent_parts=None, unipotent_basis=None,
+            form=F, basis=basis, unipotent_basis=None,
             dim_total=len(basis), dim_torus=None, dim_unipotent=None,
         ))
 
-    sems, nils = [], []
-    for b in basis:
-        S, N = jordan_chevalley(b)
-        # both parts are polynomials in b, so closure keeps them in g_F;
-        # violation would mean the nullspace itself is wrong
-        for part in (S, N):
-            if not span.contains(part.flat_ints()):
-                raise InvariantError("semisimple/nilpotent part left the algebra")
-        if nilpotency_index(N) is None:
-            raise InvariantError("nilpotent part is not nilpotent")
-        sems.append(S)
-        nils.append(N)
-
-    unip_span = Span([N.flat_ints() for N in nils], n * n)
-    unipotent = tuple(Matrix.from_flat(n, v) for v in unip_span.basis)
+    unipotent = _trace_form_radical(basis, n)
+    for u in unipotent:
+        if nilpotency_index(u) is None:
+            raise InvariantError("trace-form radical holds a non-nilpotent element")
     dim_unip = len(unipotent)
     dim_torus = len(basis) - 1 - dim_unip
     if dim_torus < 0:
         raise InvariantError("split dimensions exceed the algebra dimension")
     return _handing_over(span, SymmetrizerAlgebra(
-        form=F, basis=basis,
-        semisimple_parts=tuple(sems), nilpotent_parts=tuple(nils),
-        unipotent_basis=unipotent,
+        form=F, basis=basis, unipotent_basis=unipotent,
         dim_total=len(basis), dim_torus=dim_torus, dim_unipotent=dim_unip,
     ))
+
+
+def _trace_form_radical(basis: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
+    """Canonical basis of {sum c_i b_i : c in Ker G}, G_ij = tr(b_i b_j),
+    over the integer matrices of the basis (see the module docstring)."""
+    m = len(basis)
+    if m == 1:
+        return ()
+    flats = [b.flat_ints() for b in basis]
+    # tr(x y) = sum_kl x[k][l] y[l][k]: x's entries against y's transposed ones
+    transposed = [list(chain.from_iterable(zip(*b.ints))) for b in basis]
+    gram = tuple(tuple(sum(map(mul, x, yt)) for yt in transposed) for x in flats)
+    if rank_mod_p(gram, m) == m:
+        return ()
+    entries = list(zip(*flats))  # entry t of every basis matrix
+    combos = []
+    for v in nullspace(Matrix(gram, 1, m)):
+        c = integer_row(v)[1]
+        combos.append([sum(map(mul, c, e)) for e in entries])
+    return tuple(Matrix.from_flat(n, v) for v in Span(combos, n * n).basis)
 
 
 def _handing_over(span: Span, A: SymmetrizerAlgebra) -> SymmetrizerAlgebra:
@@ -656,10 +705,14 @@ def check_identities(
     if nondeg:
         # g_F is the direct sum of the torus, spanned by the semisimple
         # parts, and the unipotent part: the torus has dimension
-        # dim_total - dim_unipotent = 1 + dim_torus
-        torus = Span([S.flat_ints() for S in A.semisimple_parts], F.nvars**2)
+        # dim_total - dim_unipotent = 1 + dim_torus, and the nilpotent
+        # parts span the trace-form radical, computed independently
+        nn = F.nvars**2
+        torus = Span([S.flat_ints() for S in A.semisimple_parts], nn)
+        unipotent = Span([N.flat_ints() for N in A.nilpotent_parts], nn)
         out["split_additivity"] = _passfail(
-            torus.dim == 1 + A.dim_torus,
+            torus.dim == 1 + A.dim_torus
+            and unipotent == Span([u.flat_ints() for u in A.unipotent_basis], nn),
             f"dims ({A.dim_total}, {A.dim_torus}, {A.dim_unipotent})",
         )
         ok_split = all(

@@ -28,7 +28,13 @@ from .algebra import (
     symmetrizer_algebra,
 )
 from .corpus import GeneratorError, GeneratorSpec, census, generate
-from .forms import DegenerateFormError, ProjectivePoint, jacobian_kernel
+from .forms import (
+    DegenerateFormError,
+    ProjectivePoint,
+    SizeLimitError,
+    check_size,
+    jacobian_kernel,
+)
 from .linalg import InvariantError, Matrix, Vec
 from .polytext import ParseError, format_poly, parse_poly
 
@@ -193,7 +199,7 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
     nilpotent = None
     if args.matrix:
         nilpotent = _parse_matrix_arg(args.matrix, args.nvars)
-    return GeneratorSpec(
+    spec = GeneratorSpec(
         kind=args.kind,
         nvars=args.nvars,
         degree=args.degree,
@@ -202,6 +208,8 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
         blocks=blocks,
         nilpotent=nilpotent,
     )
+    check_size(spec.nvars, spec.degree)
+    return spec
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -251,6 +259,7 @@ def _specs_from_jsonl(lines: Iterable[str]) -> Iterable[GeneratorSpec]:
                 blocks=blocks,
                 nilpotent=nilpotent,
             )
+            check_size(spec.nvars, spec.degree)
         except (KeyError, TypeError, ValueError) as exc:
             raise GeneratorError(f"line {lineno}: {exc}") from None
         yield spec
@@ -380,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, dest, getattr(args, dest)[1:])
     try:
         return args.func(args)
-    except (ParseError, GeneratorError) as exc:
+    except (ParseError, GeneratorError, SizeLimitError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:

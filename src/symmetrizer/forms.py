@@ -9,12 +9,23 @@ Every symmetrizer test reads one table per form, cached on the instance:
 the Hessian slices H_beta[k][j] = F(e_k, e_j, e^beta), one per degree-(d-2)
 monomial beta, as integers over a common denominator. g is in g_F iff
 every g^T H_beta is symmetric, the constraint rows of g_F are the table's
-entries, and a pairing F(u, w, e^beta) is u^T H_beta w. The Jacobian
-matrix and its reduced echelon form are cached on the form as well.
+entries, and a pairing F(u, w, e^beta) is u^T H_beta w.
+
+The table answers Ker(∂F) too. Row i of the table, (H_beta[i][j]) over
+all beta and j, holds F(e_i, e^gamma) with gamma = beta + e_j: row i of
+the Jacobian with each column scaled by the positive factor
+gamma!/(d-1)! and some columns repeated. So its left kernel is Ker(∂F);
+rank n mod P proves that zero, and otherwise the exact null space of
+the table's transpose is the one of J^T, since both transposes have the
+row space Ker(∂F)^⊥ and the rref depends only on the row space. The
+Jacobian matrix and its reduced echelon form, cached on the form, serve
+only the Grassmann point and transport.
 
 Degree and variable-count constraints of the application domain (d >= 3,
 n >= 2) are enforced at the generation and parsing boundary, not here:
-contraction and Jacobian rows naturally produce lower-degree forms.
+contraction and Jacobian rows naturally produce lower-degree forms. The
+same boundary refuses a shape whose `cost_estimate` exceeds MAX_CELLS,
+before any table is built.
 """
 
 from __future__ import annotations
@@ -22,11 +33,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, log10
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Vec, integer_row, nullspace, rref, vec_is_zero, vector
+from .linalg import (
+    Matrix,
+    Vec,
+    integer_row,
+    nullspace,
+    rank_mod_p,
+    rref,
+    vec_is_zero,
+    vector,
+)
 
 Exponents = tuple[int, ...]
 
@@ -37,6 +57,10 @@ class DegenerateFormError(ValueError):
     def __init__(self, message: str, kernel: list[Vec]):
         super().__init__(message)
         self.kernel = kernel
+
+
+class SizeLimitError(ValueError):
+    """A form's shape costs more than MAX_CELLS (`check_size`)."""
 
 
 class NotASymmetrizerError(ValueError):
@@ -83,6 +107,50 @@ def monomial_slots(alpha: Exponents) -> tuple[int, ...]:
     """Expand an exponent vector into the sorted tuple of slot indices it
     repeats, e.g. (2, 1) -> (0, 0, 1)."""
     return tuple(i for i, e in enumerate(alpha) for _ in range(e))
+
+
+# the largest shape any command accepts; the largest benchmark input,
+# the Fermat cubic in 9 variables, costs 26,250
+MAX_CELLS = 10**6
+
+# C(n+d-3, d-2) is computed with its lower index capped here, so the
+# estimate stays cheap: exact when n <= 65 or d <= 66, and otherwise a
+# lower bound above 2^64
+_COMB_INDEX_CAP = 64
+
+
+def cost_estimate(nvars: int, degree: int) -> int:
+    """Work units a form of this shape costs before its first answer: the
+    cells of its constraint system, C(n,2)·C(n+d-3, d-2) rows by n²
+    unknowns, plus d·bitlength(d), a bound on the bit length of the
+    polarization factor d! (so one variable of huge degree counts too).
+    Cheap for any shape; past the cap above it is a lower bound."""
+    n, d = nvars, degree
+    k = max(min(n - 1, d - 2, _COMB_INDEX_CAP), 0)
+    cells = comb(n, 2) * comb(n + d - 3, k) * n * n if d >= 2 else 0
+    return cells + d * d.bit_length()
+
+
+def check_size(nvars: int, degree: int) -> None:
+    """Raise SizeLimitError when the shape's cost estimate exceeds
+    MAX_CELLS."""
+    estimate = cost_estimate(nvars, degree)
+    if estimate > MAX_CELLS:
+        raise SizeLimitError(
+            f"n = {nvars}, d = {degree}: estimated cost "
+            f"{_scientific(estimate)} cells exceeds the limit {MAX_CELLS}"
+        )
+
+
+def _scientific(x: int) -> str:
+    """x itself below a million, else d.dde+k (any size of int)."""
+    if x < 10**6:
+        return str(x)
+    e = int(log10(x))
+    m = round(10 ** (log10(x) - e), 2)
+    if m >= 10:
+        m, e = m / 10, e + 1
+    return f"{m:.2f}e+{e}"
 
 
 def basis_vector(nvars: int, i: int) -> Vec:
@@ -174,6 +242,20 @@ class SymForm:
                     if beta[j] >= 0:  # k == j needs alpha[k] >= 2
                         slices[index[tuple(beta)]][k][j] = v.numerator * (den // v.denominator)
         return den, tuple(tuple(map(tuple, s)) for s in slices)
+
+    @cached_property
+    def jacobian_kernel(self) -> tuple[Vec, ...]:
+        """Basis of Ker(∂F), read off the Hessian table (see the module
+        docstring): empty when rank mod P proves it zero, else the exact
+        null space. Forms of degree below 2 have no table."""
+        if self.degree < 2:
+            raise ValueError("the kernel of ∂F is read off the Hessian table: need degree >= 2")
+        n = self.nvars
+        # row j of the symmetric slice H_beta is its column j
+        rows = tuple(r for H in self.hessian_slices[1] for r in H if any(r))
+        if rank_mod_p(rows, n) == n:
+            return ()
+        return tuple(nullspace(Matrix(rows, 1, n)))
 
     @cached_property
     def jacobian(self) -> Matrix:
@@ -324,15 +406,13 @@ def jacobian_matrix(F: SymForm) -> Matrix:
 
 
 def jacobian_kernel(F: SymForm) -> list[Vec]:
-    """Basis of Ker(∂F) = directions u with F(u, ., ..., .) = 0; empty,
-    with no elimination, when the cached Jacobian rank is full."""
-    if F.jacobian_rref[2] == F.nvars:
-        return []
-    return nullspace(jacobian_matrix(F).transpose())
+    """Basis of Ker(∂F) = directions u with F(u, ., ..., .) = 0, built
+    once per form (`SymForm.jacobian_kernel`)."""
+    return list(F.jacobian_kernel)
 
 
 def is_nondegenerate(F: SymForm) -> bool:
-    return not jacobian_kernel(F)
+    return not F.jacobian_kernel
 
 
 def grassmann_point(F: SymForm) -> GrassmannPoint:

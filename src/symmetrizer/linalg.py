@@ -29,9 +29,10 @@ divides every such minor; callers then run the exact elimination, so no
 answer depends on P.
 
 The same prime gives a second certificate, in `jordan_chevalley`: a
-minimal polynomial that `polys.is_squarefree` proves squarefree mod P
-(with the exact gcd as fallback) shows A semisimple, so S = A and N = 0
-without the Newton iteration.
+minimal polynomial that `polys.squarefree_mod_p` proves squarefree shows
+A semisimple, so S = A and N = 0 without the Newton iteration; failing
+the certificate, one exact gcd gives the squarefree part, which decides
+the same and starts the iteration.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polys import P, Poly, is_squarefree, squarefree_part
+from .polys import P, Poly, squarefree_part, squarefree_mod_p
 
 Vec = tuple[Fraction, ...]
 
@@ -448,10 +449,11 @@ def jordan_chevalley(A: Matrix) -> tuple[Matrix, Matrix]:
     """Split A = S + N with S semisimple, N nilpotent, S N = N S.
 
     When the minimal polynomial m is squarefree, m(A) = 0 already shows A
-    semisimple: S = A. Otherwise Newton iteration on the squarefree part
-    q of m: S ← S − q(S)·q′(S)⁻¹. q′(S) stays invertible throughout
-    because q is squarefree, and the iteration lands in at most
-    ⌈log₂ n⌉ steps. Both parts are polynomials in A, hence commute with
+    semisimple: S = A. The certificate mod P decides that first; failing
+    it, the squarefree part q of m is computed once, and deg q = deg m
+    means S = A. Otherwise Newton iteration on q: S ← S − q(S)·q′(S)⁻¹.
+    q′(S) stays invertible throughout because q is squarefree, and the
+    iteration lands in at most ⌈log₂ n⌉ steps. Both parts are polynomials in A, hence commute with
     everything commuting with A.
     """
     if not A.is_square:
@@ -459,8 +461,7 @@ def jordan_chevalley(A: Matrix) -> tuple[Matrix, Matrix]:
     n = A.nrows
     m = minimal_polynomial(A)
     S = A
-    if not is_squarefree(m):
-        q = squarefree_part(m)
+    if not squarefree_mod_p(m) and (q := squarefree_part(m)).degree < m.degree:
         dq = q.derivative()
         budget = (n - 1).bit_length() + 1
         while not (qS := poly_at_matrix(q, S)).is_zero:

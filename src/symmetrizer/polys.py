@@ -6,15 +6,16 @@ Hensel-lift, recombine. The engine only factors minimal polynomials of
 n×n matrices, so degrees stay at most n; coefficients can be arbitrarily
 large without hurting the running time.
 
-`is_squarefree` first tries a certificate modulo the prime P that
+`squarefree_mod_p` is a certificate modulo the prime P that
 `linalg` also uses (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ch. 6 and 14). Let f be the primitive integer multiple of the input. If
 P does not divide deg(f)·lc(f), reduction mod P keeps the degrees of f
 and f′, and a square factor g² of f over the rationals (by Gauss's lemma
 an integer one, with lc(g) dividing lc(f)) stays a square factor of the
 same degree mod P. So gcd(f mod P, f′ mod P) = 1 proves f squarefree.
-In every other case the exact gcd over the rationals decides: the answer
-True is always a proof, and no answer depends on P.
+`is_squarefree` tries it first, and in every other case the exact gcd
+over the rationals decides: the answer True is always a proof, and no
+answer depends on P.
 """
 
 from __future__ import annotations
@@ -194,18 +195,23 @@ def squarefree_part(p: Poly) -> Poly:
     return (p // g).monic()
 
 
-def is_squarefree(p: Poly) -> bool:
-    """Whether p has no repeated factor over the rationals: certified mod
-    P when it can be (see the module docstring), else by the exact gcd."""
+def squarefree_mod_p(p: Poly) -> bool:
+    """True when the certificate mod P proves p squarefree over the
+    rationals (see the module docstring); False decides nothing."""
     if p.degree <= 0:
         return True
     f = _to_primitive_int(p)
-    if (p.degree * f[-1]) % P:
-        fp = [c % P for c in f]
-        dfp = [i * c % P for i, c in enumerate(fp) if i]
-        if len(_mp_gcd(fp, dfp, P)) == 1:
-            return True
-    return poly_gcd(p, p.derivative()).degree == 0
+    if (p.degree * f[-1]) % P == 0:
+        return False
+    fp = [c % P for c in f]
+    dfp = [i * c % P for i, c in enumerate(fp) if i]
+    return len(_mp_gcd(fp, dfp, P)) == 1
+
+
+def is_squarefree(p: Poly) -> bool:
+    """Whether p has no repeated factor over the rationals: certified mod
+    P when it can be, else by the exact gcd."""
+    return squarefree_mod_p(p) or poly_gcd(p, p.derivative()).degree == 0
 
 
 def _to_primitive_int(p: Poly) -> list[int]:

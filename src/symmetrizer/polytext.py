@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .forms import SymForm
+from .forms import SymForm, check_size
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<var>x(?P<index>\d+))|(?P<sign>[+-])"
@@ -32,6 +32,13 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _integer(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise ParseError(f"number of {len(digits)} digits is too long", position) from None
 
 
 class _Tokens:
@@ -49,9 +56,9 @@ class _Tokens:
             bad = self.pos + len(rest) - len(rest.lstrip())
             raise ParseError(f"unexpected character {self.text[bad]!r}", bad)
         if m.group("number"):
-            return ("number", int(m.group("number")), m.start("number"))
+            return ("number", _integer(m.group("number"), m.start("number")), m.start("number"))
         if m.group("var"):
-            return ("var", int(m.group("index")), m.start("var"))
+            return ("var", _integer(m.group("index"), m.start("var")), m.start("var"))
         if m.group("sign"):
             return ("sign", m.group("sign"), m.start("sign"))
         if m.group("star"):
@@ -116,7 +123,9 @@ def parse_poly(text: str, nvars: int | None = None) -> SymForm:
     """Parse polynomial text into a form.
 
     The input must be homogeneous of degree >= 3. The variable count is
-    1 + the largest index used, unless overridden upward.
+    1 + the largest index used, unless overridden upward. A shape whose
+    cost estimate exceeds `forms.MAX_CELLS` raises SizeLimitError before
+    any coefficient vector is built.
     """
     toks = _Tokens(text)
     if toks.peek() is None:
@@ -155,6 +164,7 @@ def parse_poly(text: str, nvars: int | None = None) -> SymForm:
                 raise ParseError(
                     f"variable x{max(exps)} exceeds the declared count {nvars}", pos
                 )
+    check_size(nvars, degree)
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for exps, c, _ in terms:
         alpha = tuple(exps.get(i, 0) for i in range(nvars))

@@ -5,10 +5,12 @@ from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, same_span
 from test_evaluators import forms, oracle_embed_form, oracle_restrict_form
+from symmetrizer import algebra, linalg
 from symmetrizer.algebra import (
     FiberMismatchError,
     algebra_closure_check,
@@ -22,7 +24,7 @@ from symmetrizer.algebra import (
     st_decompose,
     symmetrizer_algebra,
 )
-from symmetrizer.corpus import GeneratorSpec, generate
+from symmetrizer.corpus import GeneratorError, GeneratorSpec, census, generate
 from symmetrizer.forms import (
     NotASymmetrizerError,
     ProjectivePoint,
@@ -37,6 +39,7 @@ from symmetrizer.linalg import (
     InvariantError,
     Matrix,
     Span,
+    jordan_chevalley,
     minimal_polynomial,
     nilpotency_index,
     vector,
@@ -281,6 +284,127 @@ class TestNilpotentReport:
                 for point, order in cls.image_points:
                     assert order >= F.degree - 1
                     assert vanishing_order(F, point) == order
+
+
+def oracle_eager_split(A) -> tuple[tuple[Matrix, ...], int, int]:
+    """(unipotent basis, dim torus, dim unipotent) the way the engine used
+    to compute them: Jordan–Chevalley on every basis element, the
+    unipotent basis the canonical span of the nilpotent parts."""
+    n = A.form.nvars
+    nils = [jordan_chevalley(b)[1] for b in A.basis]
+    unipotent = tuple(
+        Matrix.from_flat(n, v) for v in Span([N.flat_ints() for N in nils], n * n).basis
+    )
+    return unipotent, len(A.basis) - 1 - len(unipotent), len(unipotent)
+
+
+def chain_nilpotent(n: int, lengths, entries) -> Matrix:
+    """Jordan chains of the given lengths on consecutive coordinates,
+    e_i -> c e_(i+1) inside a chain, with the subdiagonal entries c
+    taken from `entries` in order."""
+    rows = [[Q(0)] * n for _ in range(n)]
+    start, it = 0, iter(entries)
+    for length in lengths:
+        for i in range(start, start + length - 1):
+            rows[i + 1][i] = next(it)
+        start += length
+    return Matrix.from_rows(rows)
+
+
+CORPUS_SPECS = (
+    [GeneratorSpec(kind="fermat", nvars=n, degree=d) for n in (2, 3, 4, 5) for d in (3, 4)]
+    + [GeneratorSpec(kind="random", nvars=n, degree=d, seed=n + d)
+       for n in (2, 3, 4, 5) for d in (3, 4)]
+    + [GeneratorSpec(kind="st_sum", nvars=n, degree=d, seed=1, blocks=b)
+       for n, d, b in ((3, 3, (1, 2)), (4, 3, (2, 2)), (5, 3, (1, 2, 2)), (4, 4, (1, 3)))]
+    + [GeneratorSpec(kind="prescribed_nilpotent", nvars=n, degree=d, seed=s, nilpotent=h)
+       for n, d, s, h in (
+           (3, 3, 5, H_SQUARE_ZERO_3), (3, 4, 1, H_REGULAR_3),
+           (4, 3, 1, chain_nilpotent(4, (4,), (1, 1, 1))),
+           (4, 4, 2, chain_nilpotent(4, (2, 2), (Q(1, 2), 3))),
+           (5, 3, 1, chain_nilpotent(5, (3, 2), (1, 1, 1))),
+           (5, 3, 4, chain_nilpotent(5, (5,), (1, 1, 1, 1))),
+       )]
+    + [GeneratorSpec(kind="cone", nvars=n, degree=d) for n, d in ((3, 3), (4, 4))]
+)
+
+
+class TestTraceFormSplit:
+    """The unipotent part as the trace-form radical equals the span of the
+    eager Jordan–Chevalley nilpotent parts, exactly."""
+
+    def assert_matches_the_eager_split(self, F):
+        A = symmetrizer_algebra(F)
+        if not A.nondegenerate:
+            assert A.unipotent_basis is None and A.semisimple_parts is None
+            return
+        unipotent, dim_torus, dim_unipotent = oracle_eager_split(A)
+        assert A.unipotent_basis == unipotent
+        assert (A.dim_torus, A.dim_unipotent) == (dim_torus, dim_unipotent)
+
+    @pytest.mark.parametrize(
+        "spec", CORPUS_SPECS, ids=[f"{s.kind}-{s.nvars}-{s.degree}" for s in CORPUS_SPECS]
+    )
+    def test_corpus_forms(self, spec):
+        self.assert_matches_the_eager_split(generate(spec))
+
+    @pytest.mark.parametrize("text", [
+        "x0^2*x2 + x0*x1^2",  # dim U = 2
+        "2*x0*x2*x3 + 2*x1*x3^2",  # dim U = 3
+    ])
+    def test_golden_forms(self, text):
+        self.assert_matches_the_eager_split(parse_poly(text))
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_prescribed_chains_with_fractional_entries(self, data):
+        n = data.draw(st.integers(2, 5))
+        chain = data.draw(st.integers(2, min(n, 4)))
+        entries = [
+            data.draw(st.builds(Q, st.integers(1, 5), st.sampled_from([1, 2, 3]))
+                      .map(lambda q: q * data.draw(st.sampled_from([1, -1]))))
+            for _ in range(n)
+        ]
+        h = chain_nilpotent(n, (chain,) + (1,) * (n - chain), entries)
+        spec = GeneratorSpec(
+            kind="prescribed_nilpotent", nvars=n, degree=data.draw(st.integers(3, 4)),
+            seed=data.draw(st.integers(0, 9)), nilpotent=h,
+        )
+        try:
+            F = generate(spec)
+        except GeneratorError:
+            assume(False)
+        assert symmetrizer_algebra(F).contains(h)
+        self.assert_matches_the_eager_split(F)
+
+    def test_census_computes_no_split_parts(self, monkeypatch):
+        refuse = lambda *args: pytest.fail("Jordan–Chevalley ran in a census")
+        monkeypatch.setattr(algebra, "jordan_chevalley", refuse)
+        monkeypatch.setattr(linalg, "jordan_chevalley", refuse)
+        rows = list(census(CORPUS_SPECS))
+        assert len(rows) == len(CORPUS_SPECS)
+        assert any(row.get("dim_unipotent", 0) >= 2 for row in rows)
+
+    def test_split_parts_are_computed_on_demand(self):
+        A = symmetrizer_algebra(WHITNEY)
+        assert "_split" not in vars(A)
+        assert len(A.semisimple_parts) == len(A.nilpotent_parts) == A.dim_total
+        assert "_split" in vars(A)
+
+    def test_a_non_nilpotent_radical_element_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(algebra, "nilpotency_index", lambda A: None)
+        with pytest.raises(InvariantError, match="trace-form radical"):
+            symmetrizer_algebra(WHITNEY)
+
+    def test_split_additivity_compares_the_radical_with_the_nilpotent_parts(self):
+        A = symmetrizer_algebra(WHITNEY)
+        h = A.unipotent_basis[0]
+        doctored = replace(A, unipotent_basis=(h, Matrix.identity(3)))
+        vars(doctored)["nilpotents"] = A.nilpotents  # the square-zero report of g_F
+        results = check_identities(WHITNEY, samples=2, algebra=doctored)
+        assert results["split_additivity"].status == "fail"
+        assert results["split_additivity"].detail == "dims (3, 0, 2)"
+        assert check_identities(WHITNEY, samples=2, algebra=A)["split_additivity"].status == "pass"
 
 
 class TestRecovery:

@@ -6,7 +6,10 @@ import re
 
 import pytest
 
-from symmetrizer import algebra, cli
+from symmetrizer import algebra, cli, corpus, forms
+from symmetrizer.algebra import constraint_matrix
+from symmetrizer.forms import MAX_CELLS, cost_estimate
+from symmetrizer.polytext import parse_poly
 
 RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
@@ -367,6 +370,70 @@ class TestCensus:
         assert code == 2
         assert out == ""
         assert err.startswith("input error:")
+
+
+class TestSizeGuard:
+    """A form whose estimated cost exceeds forms.MAX_CELLS is refused with
+    exit 2 at the parse or spec boundary, before any coefficient is stored."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on an over-limit input")
+
+        monkeypatch.setattr(forms.SymForm, "from_coeffs", staticmethod(refuse))
+        monkeypatch.setattr(corpus, "generate", refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "x0^99999999999999999999"],
+         "n = 1, d = 99999999999999999999: estimated cost 6.70e+21 cells"),
+        (["analyze", "x9^60"], "n = 10, d = 60: estimated cost 1.92e+14 cells"),
+        (["check", "x0^3", "--nvars", "200"], "n = 200, d = 3: estimated cost 1.59e+11 cells"),
+        (["recover", "x99999^3", "x0^3 + x1^3"], "n = 100000, d = 3: estimated cost"),
+        (["generate", "fermat", "--nvars", "1000000", "--degree", "3"],
+         "n = 1000000, d = 3: estimated cost 5.00e+29 cells"),
+    ])
+    def test_over_the_limit_exits_2_with_the_estimate(self, capsys, no_work, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {message}")
+        assert "exceeds the limit" in err
+
+    def test_census_refuses_the_line_after_the_earlier_records(self, capsys, monkeypatch):
+        lines = [
+            {"kind": "fermat", "nvars": 2, "degree": 3},
+            {"kind": "fermat", "nvars": 2, "degree": 10**20},
+            {"kind": "fermat", "nvars": 3, "degree": 3},
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(x) + "\n" for x in lines)))
+        code, out, err = run(capsys, "census", "-")
+        assert code == 2
+        assert [json.loads(row)["nvars"] for row in out.splitlines()] == [2]
+        assert err.startswith("input error: line 2: n = 2, d = 100000000000000000000: estimated")
+
+    def test_the_limit_is_inclusive(self, capsys, monkeypatch):
+        # x0^3 + x1^3 costs 14 cells
+        monkeypatch.setattr(forms, "MAX_CELLS", 14)
+        assert run(capsys, "analyze", "x0^3 + x1^3")[0] == 0
+        monkeypatch.setattr(forms, "MAX_CELLS", 13)
+        code, _, err = run(capsys, "analyze", "x0^3 + x1^3")
+        assert code == 2
+        assert err == "input error: n = 2, d = 3: estimated cost 14 cells exceeds the limit 13\n"
+
+    def test_an_overlong_number_is_a_parse_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "x0^" + "9" * 5000)
+        assert code == 2
+        assert err == "input error: number of 5000 digits is too long (at position 3)\n"
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (3, 4), (4, 3), (2, 5), (5, 4)])
+    def test_the_estimate_counts_the_constraint_cells(self, n, d):
+        M = constraint_matrix(parse_poly(f"x{n - 1}^{d}", n))
+        assert cost_estimate(n, d) == M.nrows * M.ncols + d * d.bit_length()
+
+    def test_every_benchmark_shape_is_far_under_the_default(self):
+        # the largest benchmark input is the Fermat probe at n = 9, d = 3
+        assert cost_estimate(9, 3) == 26250
+        assert 30 * cost_estimate(9, 3) < MAX_CELLS
 
 
 class TestArgumentErrors:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symmetrizer import forms
 from symmetrizer.forms import (
     DegenerateFormError,
     NotASymmetrizerError,
@@ -24,7 +25,8 @@ from symmetrizer.forms import (
     twist,
     vanishing_order,
 )
-from symmetrizer.linalg import Matrix, vector
+from symmetrizer.linalg import Matrix, nullspace, vector
+from symmetrizer.polys import P as PRIME
 from symmetrizer.polytext import parse_poly
 
 
@@ -127,6 +129,95 @@ class TestJacobian:
         assert grassmann_point(F) == grassmann_point(parse_poly("x0^3 + x0^2*x1"))
         assert grassmann_point(F) == grassmann_point(F * Q(7, 3))
         assert grassmann_point(F) != grassmann_point(parse_poly("x0^3 + x1^3"))
+
+
+def oracle_jacobian_kernel(F: SymForm) -> list:
+    """Ker(∂F) the Jacobian way: the null space of J_F^T."""
+    return nullspace(jacobian_matrix(F).transpose())
+
+
+FRACTIONS = st.builds(Q, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@st.composite
+def singular_compositions(draw):
+    """G(A·x) for a form G in m variables and an m×n integer matrix A,
+    m = n - 1 or n - 2: Ker(∂F) contains Ker(A), of dimension 1 or 2,
+    which is rarely spanned by coordinate vectors."""
+    n = draw(st.integers(3, 4))
+    m = n - draw(st.integers(1, 2))
+    G = draw(symforms(nvars=m, degree=draw(st.integers(2, 4))))
+    A = Matrix.from_rows(
+        [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)], n
+    )
+    return compose_linear(G, A)
+
+
+class TestKernelFromTable:
+    """jacobian_kernel reads Ker(∂F) off the Hessian table; the Jacobian
+    route it replaced stays the oracle, compared for exact equality."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_random_forms(self, data):
+        d = data.draw(st.integers(2, 4))
+        F = data.draw(symforms(nvars=data.draw(st.integers(1, 4)), degree=d))
+        assert jacobian_kernel(F) == oracle_jacobian_kernel(F)
+        assert is_nondegenerate(F) == (oracle_jacobian_kernel(F) == [])
+
+    @given(singular_compositions())
+    @settings(deadline=None, max_examples=60)
+    def test_cones_and_singular_compositions(self, F):
+        kernel = jacobian_kernel(F)
+        assert kernel == oracle_jacobian_kernel(F)
+        assert 1 <= len(kernel) <= F.nvars
+
+    def test_a_composed_kernel_off_the_coordinate_axes(self):
+        G = parse_poly("x0^3 + x1^3")
+        F = compose_linear(G, Matrix.from_rows([[1, 1, 1, 0], [0, 1, 0, -1]]))
+        assert jacobian_kernel(F) == oracle_jacobian_kernel(F) == [
+            V(-1, 0, 1, 0), V(-1, 1, 0, 1)
+        ]
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_fractional_coefficients(self, data):
+        n, d = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+        monos = enumerate_monomials(n, d)
+        F = SymForm.from_coeffs(n, d, {a: data.draw(FRACTIONS) for a in monos})
+        if data.draw(st.booleans()):  # a cone: drop the last variable
+            F = compose_linear(F, Matrix.from_rows(Matrix.identity(n + 1).rows[:n], n + 1))
+        assert jacobian_kernel(F) == oracle_jacobian_kernel(F)
+
+    def test_rank_short_mod_p_takes_the_exact_fallback(self, monkeypatch):
+        # the table of x0^3 + P x1^3 is diag(1, P), rank 1 mod P but 2 over Q
+        F = SymForm.from_coeffs(2, 3, {(3, 0): 1, (0, 3): PRIME})
+        solves = []
+        monkeypatch.setattr(forms, "nullspace", lambda M: solves.append(M) or nullspace(M))
+        assert jacobian_kernel(F) == [] == oracle_jacobian_kernel(F)
+        assert is_nondegenerate(F)
+        assert len(solves) == 1
+
+    def test_full_rank_mod_p_needs_no_elimination(self, monkeypatch):
+        monkeypatch.setattr(forms, "nullspace", lambda M: pytest.fail("exact solve"))
+        F = parse_poly("x0^3 + 2*x0*x1*x2 - 1/3*x2^3")
+        assert is_nondegenerate(F) and jacobian_kernel(F) == []
+        assert "jacobian" not in vars(F)  # no Jacobian was built
+
+    def test_kernel_is_cached_and_handed_out_as_a_fresh_list(self):
+        F = parse_poly("x0^3 + x1^3", nvars=3)
+        first = jacobian_kernel(F)
+        first.append(V(1, 0, 0))
+        assert jacobian_kernel(F) == [V(0, 0, 1)]
+        assert F.jacobian_kernel is F.jacobian_kernel
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_degree_below_two_is_refused(self, degree):
+        F = SymForm.from_coeffs(2, degree, {(degree, 0): 1})
+        with pytest.raises(ValueError, match="degree >= 2"):
+            jacobian_kernel(F)
+        with pytest.raises(ValueError, match="degree >= 2"):
+            is_nondegenerate(F)
 
 
 class TestSymmetrizers:

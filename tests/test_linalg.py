@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetrizer import linalg
+from symmetrizer import linalg, polys
 from symmetrizer.linalg import (
     P,
     Matrix,
@@ -26,7 +26,8 @@ from symmetrizer.linalg import (
     span_contains,
     vector,
 )
-from symmetrizer.polys import Poly, is_squarefree, squarefree_part
+from symmetrizer.polys import P as PRIME
+from symmetrizer.polys import Poly, is_squarefree, poly_gcd, squarefree_part
 
 
 def M(*rows) -> Matrix:
@@ -492,6 +493,40 @@ class TestJordanChevalleyMatchesNewton:
         A = SPLIT_CASES[name]
         S, N = jordan_chevalley(A)
         assert S == A and N.is_zero
+
+
+class TestJordanChevalleyExactGcds:
+    """The exact gcd runs once per minimal polynomial the certificate mod
+    P leaves undecided, and never for a certified one."""
+
+    @pytest.fixture
+    def exact_gcds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(polys, "poly_gcd", lambda a, b: calls.append(a) or poly_gcd(a, b))
+        return calls
+
+    @pytest.mark.parametrize(
+        "name", ["nilpotent", "square_zero", "jordan_blocks", "jordan_block_of_a_companion",
+                 "semisimple_and_nilpotent"],
+    )
+    def test_one_gcd_for_a_repeated_factor(self, name, exact_gcds):
+        A = SPLIT_CASES[name]
+        expected = newton_jordan_chevalley(A)
+        exact_gcds.clear()
+        assert jordan_chevalley(A) == expected
+        assert len(exact_gcds) == 1
+
+    def test_certified_minimal_polynomial_needs_no_gcd(self, exact_gcds):
+        S, N = jordan_chevalley(SPLIT_CASES["companion_t2_minus_2"])
+        assert N.is_zero and exact_gcds == []
+
+    def test_squarefree_but_uncertified_skips_the_newton_loop(self, exact_gcds, monkeypatch):
+        # diag(0, P) has minimal polynomial t(t - P), which is t^2 mod P
+        A = M([0, 0], [0, PRIME])
+        monkeypatch.setattr(linalg, "poly_at_matrix", lambda *args: pytest.fail("Newton loop"))
+        S, N = jordan_chevalley(A)
+        assert S == A and N.is_zero
+        assert len(exact_gcds) == 1
 
 
 class TestNilpotency:

@@ -14,6 +14,7 @@ from symmetrizer.polys import (
     factor_rational,
     is_squarefree,
     poly_gcd,
+    squarefree_mod_p,
     squarefree_part,
 )
 
@@ -130,6 +131,13 @@ class TestSquarefreeCertificate:
     def test_repeated_root_is_refused(self, exact_gcds):
         assert not is_squarefree(P(-1, 1) ** 2 * P(2, 1))  # (t - 1)^2 (t + 2)
         assert len(exact_gcds) == 1
+
+    def test_the_certificate_alone_decides_only_true(self, exact_gcds):
+        assert squarefree_mod_p(P(-2, 0, 1))
+        assert not squarefree_mod_p(P(0, -PRIME, 1))  # squarefree, but t^2 mod P
+        assert not squarefree_mod_p(P(Q(-1, PRIME), 0, 1))  # P divides lc
+        assert not squarefree_mod_p(P(-1, 1) ** 2)
+        assert exact_gcds == []
 
     def test_constant_and_linear(self):
         assert is_squarefree(P(Q(3, PRIME)))

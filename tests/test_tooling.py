@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetrizer import cli
+from symmetrizer import cli, forms
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -23,8 +23,11 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # over the 15 analyze_grid cells, one 20-spec census chunk and five
 # recover pairs, the inputs of perfbench/workloads.py at seed 1; then
 # hand-picked cases the workloads miss (check, generate, the Fermat
-# probes, dim U of 2 and 3, and a census of regular and fractional
-# nilpotents and three-block sums at degrees 3 and 4). A change
+# probes, dim U of 2 and 3, a census of regular and fractional
+# nilpotents and three-block sums at degrees 3 and 4, degenerate forms
+# with the kernel <(1, -1, 0)> and with a 2-dimensional kernel off the
+# coordinate axes, and a census of cones and of prescribed nilpotents
+# with dim U from 2 to 4). A change
 # that keeps every output must keep these bytes. After an intended output
 # change, rewrite the expectations with `PYTHONPATH=src python
 # tests/test_tooling.py` and review the diff.
@@ -61,7 +64,21 @@ SEPARATORS = [" + ", " - ", "+", "-"]
 
 
 @st.composite
+def over_limit_poly_texts(draw):
+    """Polynomials whose cost estimate exceeds forms.MAX_CELLS: a
+    variable index of at least 199 at degree 3, or one variable of degree
+    at least 10^6, each written with a leading coefficient or not."""
+    if draw(st.booleans()):
+        body = f"x0^2*x{draw(st.integers(199, 10**30))}"
+    else:
+        body = f"x{draw(st.integers(0, 2))}^{draw(st.integers(10**6, 10**30))}"
+    return draw(st.sampled_from(COEFFICIENTS)) + body
+
+
+@st.composite
 def poly_texts(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(over_limit_poly_texts())
     if draw(st.integers(0, 4)) == 0:
         return draw(st.text(alphabet="x012^*+-/ 34", max_size=12))
     degree = draw(st.sampled_from([3, 3, 4, 4, 2, 0]))
@@ -82,8 +99,9 @@ def specs(draw):
     ))
     spec = {
         "kind": kind,
-        "nvars": draw(st.sampled_from([2, 3, 3, -1])),
-        "degree": draw(st.sampled_from([3, 4, 4, 1])),
+        # 10^6 variables and degree 10^20 are over forms.MAX_CELLS
+        "nvars": draw(st.sampled_from([2, 3, 3, -1, 10**6])),
+        "degree": draw(st.sampled_from([3, 4, 4, 1, 10**20])),
         "seed": draw(st.integers(-1, 3)),
     }
     if kind == "st_sum" or draw(st.booleans()):
@@ -151,6 +169,27 @@ def invoke(argv, stdin=None) -> tuple[int, str, str]:
 def test_every_small_invocation_ends_in_a_documented_exit_code(invocation):
     argv, stdin = invocation
     assert invoke(argv, stdin)[0] in EXIT_CODES
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_over_limit_input_is_refused_before_any_work(data):
+    command = data.draw(st.sampled_from(["analyze", "check", "recover"]))
+    if data.draw(st.booleans()):  # a small polynomial in too many variables
+        argv = [command, "x0^3 + x1^3", "--nvars", str(data.draw(st.integers(200, 10**30)))]
+    else:
+        argv = [command, data.draw(over_limit_poly_texts())]
+    if command == "recover":
+        argv.insert(2, data.draw(st.one_of(over_limit_poly_texts(), st.just("x0^3 + x1^3"))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms.SymForm, "from_coeffs", staticmethod(_refuse_work))
+        code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert "exceeds the limit" in err
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started on an over-limit input")
 
 
 @given(poly_texts().map(lambda text: "-" + text.lstrip("-")))
