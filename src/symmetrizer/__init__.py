@@ -7,7 +7,9 @@ computes that algebra exactly, splits it into its diagonalizable and
 nilpotent parts, decides whether the polynomial is a sum of forms in
 disjoint variable blocks, finds the singular points forced by square-zero
 elements, and transports elements between polynomials sharing a Jacobian
-row space. Everything runs over fractions.Fraction; no floats anywhere.
+row space. Every value is an exact rational: matrices hold integer rows
+over one denominator, and every other value is a fractions.Fraction;
+no floats anywhere.
 """
 
 from .algebra import (

@@ -126,7 +126,7 @@ class SymmetrizerAlgebra:
 
     @cached_property
     def span(self) -> Span:
-        """The basis's span; `symmetrizer_algebra` hands over the one it built."""
+        """The basis's span, built once, when `symmetrizer_algebra` checks I."""
         return Span([b.flat_ints() for b in self.basis], self.form.nvars**2)
 
     def contains(self, g: Matrix) -> bool:
@@ -151,9 +151,9 @@ class SymmetrizerAlgebra:
         sems, nils = [], []
         for b in self.basis:
             S, N = jordan_chevalley(b)
-            # both parts are polynomials in b, so closure keeps them in g_F;
-            # violation would mean the nullspace itself is wrong
-            if not (self.contains(S) and self.contains(N)):
+            # S is a polynomial in b, so closure keeps it (and N = b - S) in
+            # g_F; violation would mean the nullspace itself is wrong
+            if not self.contains(S):
                 raise InvariantError("semisimple/nilpotent part left the algebra")
             if nilpotency_index(N) is None:
                 raise InvariantError("nilpotent part is not nilpotent")
@@ -178,30 +178,24 @@ class SymmetrizerAlgebra:
 def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     """Compute g_F and, for nondegenerate F, its torus/unipotent split."""
     n = F.nvars
-    vecs = nullspace(constraint_matrix(F))
-    basis = tuple(Matrix.from_flat(n, v) for v in vecs)
-    span = Span(vecs, n * n)
-    if not span.contains(Matrix.identity(n).flat_ints()):
-        raise InvariantError("identity endomorphism missing from the algebra")
-
-    if not is_nondegenerate(F):
-        return _handing_over(span, SymmetrizerAlgebra(
-            form=F, basis=basis, unipotent_basis=None,
-            dim_total=len(basis), dim_torus=None, dim_unipotent=None,
-        ))
-
-    unipotent = _trace_form_radical(basis, n)
-    for u in unipotent:
-        if nilpotency_index(u) is None:
-            raise InvariantError("trace-form radical holds a non-nilpotent element")
-    dim_unip = len(unipotent)
-    dim_torus = len(basis) - 1 - dim_unip
-    if dim_torus < 0:
-        raise InvariantError("split dimensions exceed the algebra dimension")
-    return _handing_over(span, SymmetrizerAlgebra(
+    basis = tuple(Matrix.from_flat(n, v) for v in nullspace(constraint_matrix(F)))
+    unipotent = dim_torus = dim_unip = None
+    if is_nondegenerate(F):
+        unipotent = _trace_form_radical(basis, n)
+        for u in unipotent:
+            if nilpotency_index(u) is None:
+                raise InvariantError("trace-form radical holds a non-nilpotent element")
+        dim_unip = len(unipotent)
+        dim_torus = len(basis) - 1 - dim_unip
+        if dim_torus < 0:
+            raise InvariantError("split dimensions exceed the algebra dimension")
+    A = SymmetrizerAlgebra(
         form=F, basis=basis, unipotent_basis=unipotent,
         dim_total=len(basis), dim_torus=dim_torus, dim_unipotent=dim_unip,
-    ))
+    )
+    if not A.contains(Matrix.identity(n)):
+        raise InvariantError("identity endomorphism missing from the algebra")
+    return A
 
 
 def _trace_form_radical(basis: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
@@ -222,12 +216,6 @@ def _trace_form_radical(basis: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
         c = integer_row(v)[1]
         combos.append([sum(map(mul, c, e)) for e in entries])
     return tuple(Matrix.from_flat(n, v) for v in Span(combos, n * n).basis)
-
-
-def _handing_over(span: Span, A: SymmetrizerAlgebra) -> SymmetrizerAlgebra:
-    """A with `span` in its cached property's slot (a copy computes its own)."""
-    vars(A)["span"] = span
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +339,16 @@ def st_decompose(
             break
     else:
         raise InvariantError("no primitive element of the torus within the search bound")
-    if not is_squarefree(mp):
-        raise InvariantError("semisimple candidate has a repeated factor")
     factors = factor_rational(mp)
+    # ahead of the k < 2 return, so a single repeated factor is caught too
+    if any(mult != 1 for _, mult in factors):
+        raise InvariantError("semisimple minimal polynomial not squarefree")
     k = len(factors)
     if k < 2:
         return None
 
     bases = []
-    for p, mult in factors:
-        if mult != 1:
-            raise InvariantError("semisimple minimal polynomial not squarefree")
+    for p, _ in factors:
         basis = nullspace(poly_at_matrix(p, s))
         if not basis:
             raise InvariantError("irreducible factor with trivial kernel")
@@ -416,12 +403,14 @@ class NilpotentReport:
     infinite_family: bool
 
 
-def _max_index_over_span(unip: Sequence[Matrix], n: int) -> int:
-    """Largest nilpotency index over the whole span of commuting
-    nilpotents: the smallest k with every k-fold basis product zero.
-    (The generic element realizes it; products detect it exactly.)"""
-    if not unip:
-        return 1
+def _power_table(unip: Sequence[Matrix], n: int) -> tuple[int, list[Matrix]]:
+    """Products of the commuting nilpotents f_i over nondecreasing index
+    tuples, one level per length k, kept while nonzero. Returns the
+    largest nilpotency index over their span (the smallest k with every
+    k-fold product zero; the generic element realizes it) and each f_i's
+    last nonzero power f_i^(l_i - 1), held by the last level with key
+    (i,)*k. A level still nonzero at k = n proves some f_i not nilpotent."""
+    last = list(unip)
     level = {(): Matrix.identity(n)}
     for k in range(1, n + 1):
         nxt = {}
@@ -432,7 +421,8 @@ def _max_index_over_span(unip: Sequence[Matrix], n: int) -> int:
                 if not q.is_zero:
                     nxt[key + (idx,)] = q
         if not nxt:
-            return k
+            return k, last
+        last = [nxt.get((i,) * k, p) for i, p in enumerate(last)]
         level = nxt
     raise InvariantError("commuting nilpotents survived n-fold products")
 
@@ -442,11 +432,12 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
     points their images force.
 
     Search strategy: (a) h = f^(l-1) for each unipotent basis element f
-    of nilpotency index l; (b) for unipotent dimension <= 2, solve
-    h^2 = 0 exactly over the rationals on the projective parameter space
-    (entries are quadratics in at most two parameters); (c) in dimension
-    >= 3 only the (a)-classes are reported and the search is flagged
-    incomplete.
+    of nilpotency index l, read off the product table that also gives
+    the largest index over the span (`_power_table`); (b) for unipotent
+    dimension <= 2, solve h^2 = 0 exactly over the rationals on the
+    projective parameter space (entries are quadratics in at most two
+    parameters); (c) in dimension >= 3 only the (a)-classes are reported
+    and the search is flagged incomplete.
     """
     if A.unipotent_basis is None:
         raise DegenerateFormError(
@@ -486,11 +477,9 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
         classes[coeffs] = SquareZeroClass(coeffs, hn, len(image), tuple(points))
 
     # (a) the power construction, always available
-    for f in unip:
-        ell = nilpotency_index(f)
-        if ell is None or ell < 2:
-            raise InvariantError("unipotent basis element is not a nonzero nilpotent")
-        register(f ** (ell - 1))
+    max_index, last_powers = _power_table(unip, n)
+    for h in last_powers:
+        register(h)
 
     infinite_family = False
     search_complete = True
@@ -527,7 +516,6 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
     elif dim >= 3:
         search_complete = False
 
-    max_index = _max_index_over_span(unip, n)
     ordered = tuple(classes[key] for key in sorted(classes))
     return NilpotentReport(
         classes=ordered,

@@ -44,7 +44,6 @@ from .linalg import (
     nullspace,
     rank_mod_p,
     rref,
-    vec_is_zero,
     vector,
 )
 
@@ -270,9 +269,6 @@ class SymForm:
         """rref of the Jacobian matrix: (reduced matrix, pivots, rank)."""
         return rref(self.jacobian)
 
-    def coefficient(self, alpha: Exponents) -> Fraction:
-        return self.coeff_map.get(tuple(alpha), Fraction(0))
-
     def coeff_vector(self) -> Vec:
         """Coefficients in the canonical monomial order, dense."""
         cm = self.coeff_map
@@ -305,32 +301,6 @@ class SymForm:
 
     __rmul__ = __mul__
 
-    def value_on_basis(self, slots: Sequence[int]) -> Fraction:
-        """F(e_{i1}, ..., e_{id}) via polarization: c_alpha * alpha! / d!."""
-        if len(slots) != self.degree:
-            raise ValueError("slot count must equal the arity")
-        alpha = [0] * self.nvars
-        for i in slots:
-            alpha[i] += 1
-        alpha = tuple(alpha)
-        return self.coefficient(alpha) * Fraction(
-            alpha_factorial(alpha), factorial(self.degree)
-        )
-
-    def polynomial_value(self, v: Sequence) -> Fraction:
-        """Direct evaluation of the defining polynomial at v."""
-        v = vector(v)
-        if len(v) != self.nvars:
-            raise ValueError("shape mismatch")
-        acc = Fraction(0)
-        for alpha, c in self.terms:
-            term = c
-            for x, e in zip(v, alpha):
-                if e:
-                    term *= x**e
-            acc += term
-        return acc
-
     def contract(self, u: Sequence) -> "SymForm":
         """The (degree-1)-form F(u, ., ..., .) = (1/d) * directional
         derivative of the defining polynomial along u."""
@@ -356,7 +326,7 @@ class SymForm:
         g: SymForm = self
         for v in vectors:
             g = g.contract(v)
-        return g.coefficient((0,) * self.nvars)
+        return g.coeff_map.get((0,) * self.nvars, Fraction(0))
 
     def __str__(self) -> str:
         from .polytext import format_poly
@@ -512,7 +482,7 @@ def vanishing_order(F: SymForm, u: Sequence | ProjectivePoint) -> int:
     Scaling-invariant in u.
     """
     coords = u.coords if isinstance(u, ProjectivePoint) else vector(u)
-    if vec_is_zero(coords):
+    if not any(coords):
         raise ValueError("vanishing order needs a nonzero vector")
     if len(coords) != F.nvars:
         raise ValueError("shape mismatch")

@@ -58,10 +58,6 @@ def vector(entries: Iterable) -> Vec:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return all(e == 0 for e in v)
-
-
 def integer_row(v: Sequence) -> tuple[int, list[int]]:
     """(den, ints) with v == ints / den, den the lcm of v's denominators."""
     den = lcm(*[e.denominator for e in v])
@@ -470,7 +466,8 @@ def jordan_chevalley(A: Matrix) -> tuple[Matrix, Matrix]:
             budget -= 1
             S = S - qS * poly_at_matrix(dq, S).inverse()
     N = A - S
-    if S * N != N * S or S * A != A * S:
+    # with N = A - S, S·N = N·S is the same equation as S·A = A·S
+    if S * N != N * S:
         raise InvariantError("split parts stopped commuting")
     return S, N
 

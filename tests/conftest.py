@@ -1,10 +1,12 @@
-"""Shared fixtures: the golden corpus and an independent constraint oracle.
+"""Shared fixtures: the golden corpus and independent oracles.
 
 The golden corpus is a fixed set of labelled forms spanning every
 generator kind plus the two worked examples. The brute-force oracle
 below rebuilds the symmetrizer conditions from raw coefficients with no
 multiset dedup and every slot transposition imposed, so it shares no
-assembly code with the production path.
+assembly code with the production path. `coefficient`, `slot_value` and
+`polynomial_value` read a form straight off its terms; no command needs
+them, so they live here rather than on `SymForm`.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ def golden_nondegenerate() -> dict[str, SymForm]:
     return {k: F for k, F in _GOLDEN.items() if k not in DEGENERATE_LABELS}
 
 
+def coefficient(F: SymForm, alpha) -> Fraction:
+    """The coefficient of x^alpha in F's polynomial, 0 when absent."""
+    return F.coeff_map.get(tuple(alpha), Fraction(0))
+
+
 def slot_value(F: SymForm, indices: tuple[int, ...]) -> Fraction:
     """F on basis vectors, straight from the coefficient: c_alpha * alpha!/d!."""
     alpha = [0] * F.nvars
@@ -87,7 +94,18 @@ def slot_value(F: SymForm, indices: tuple[int, ...]) -> Fraction:
     num = 1
     for a in alpha:
         num *= math.factorial(a)
-    return F.coefficient(tuple(alpha)) * Fraction(num, math.factorial(F.degree))
+    return coefficient(F, alpha) * Fraction(num, math.factorial(F.degree))
+
+
+def polynomial_value(F: SymForm, v) -> Fraction:
+    """Direct evaluation of F's polynomial at v."""
+    acc = Fraction(0)
+    for alpha, c in F.terms:
+        term = c
+        for x, e in zip(v, alpha, strict=True):
+            term *= Fraction(x) ** e
+        acc += term
+    return acc
 
 
 def brute_force_symmetrizer_basis(F: SymForm) -> list[Matrix]:

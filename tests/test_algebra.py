@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, same_span
-from test_evaluators import forms, oracle_embed_form, oracle_restrict_form
+from test_evaluators import REPORT_AS_DRAWN, forms, oracle_embed_form, oracle_restrict_form
 from symmetrizer import algebra, linalg
 from symmetrizer.algebra import (
     FiberMismatchError,
@@ -231,7 +231,7 @@ ST_SUM_SHAPES = ((4, 3, (2, 2)), (5, 3, (2, 3)), (5, 4, (2, 3)), (4, 4, (2, 2)),
 
 class TestFinestSplit:
     @given(forms())
-    @settings(deadline=None, max_examples=40)
+    @settings(REPORT_AS_DRAWN, max_examples=40)
     def test_block_count_within_torus_bounds(self, F):
         A = symmetrizer_algebra(F)
         if A.nondegenerate:
@@ -242,6 +242,13 @@ class TestFinestSplit:
         n, d, blocks = ST_SUM_SHAPES[seed % len(ST_SUM_SHAPES)]
         A = symmetrizer_algebra(generate(GeneratorSpec("st_sum", n, d, seed=seed, blocks=blocks)))
         assert block_count(A) >= len(blocks)
+
+    def test_a_single_repeated_factor_is_an_invariant_error(self, monkeypatch):
+        # the torus of NORM has dimension 1, so (t - 1)^2 has the full
+        # degree 2 and factors as one factor of multiplicity 2
+        monkeypatch.setattr(algebra, "minimal_polynomial", lambda s: Poly.from_coeffs([1, -2, 1]))
+        with pytest.raises(InvariantError, match="not squarefree"):
+            st_decompose(NORM)
 
 
 class TestNilpotentReport:
@@ -276,6 +283,23 @@ class TestNilpotentReport:
         assert rep.classes == ()
         assert rep.max_nilpotency_index == 1
         assert rep.cube_zero_all and rep.search_complete
+
+    @pytest.mark.parametrize("text", [
+        "x0^2*x2 + x0*x1^2",  # dim U = 2
+        "2*x0*x2*x3 + 2*x1*x3^2",  # dim U = 3
+    ])
+    def test_power_table_holds_each_last_nonzero_power(self, text):
+        F = parse_poly(text)
+        unip = symmetrizer_algebra(F).unipotent_basis
+        max_index, last = algebra._power_table(unip, F.nvars)
+        indices = [nilpotency_index(f) for f in unip]
+        assert last == [f ** (ell - 1) for f, ell in zip(unip, indices)]
+        assert max_index >= max(indices)
+
+    def test_a_non_nilpotent_unipotent_element_fails_the_product_table(self):
+        doctored = replace(symmetrizer_algebra(CUSP), unipotent_basis=(Matrix.identity(2),))
+        with pytest.raises(InvariantError, match="survived n-fold products"):
+            nilpotent_report(doctored)
 
     def test_every_image_point_is_singular(self, golden_nondegenerate):
         for F in golden_nondegenerate.values():
@@ -395,6 +419,12 @@ class TestTraceFormSplit:
         monkeypatch.setattr(algebra, "nilpotency_index", lambda A: None)
         with pytest.raises(InvariantError, match="trace-form radical"):
             symmetrizer_algebra(WHITNEY)
+
+    def test_a_semisimple_part_outside_the_algebra_is_an_invariant_error(self, monkeypatch):
+        X = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # not in g_F
+        monkeypatch.setattr(algebra, "jordan_chevalley", lambda b: (X, b - X))
+        with pytest.raises(InvariantError, match="left the algebra"):
+            symmetrizer_algebra(WHITNEY).semisimple_parts
 
     def test_split_additivity_compares_the_radical_with_the_nilpotent_parts(self):
         A = symmetrizer_algebra(WHITNEY)

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -451,6 +455,35 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--samples" in captured.err
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_samples_above_the_cap_is_refused_before_any_work(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "parse_poly", lambda *args: pytest.fail("work started"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "x0^3+x1^3", "--samples", str(cli.MAX_SAMPLES + 1)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be from 1 to {cli.MAX_SAMPLES}" in captured.err
+
+
+class TestClosedStdout:
+    """The reader of stdout is gone before the command writes."""
+
+    @pytest.mark.parametrize("argv", [["analyze", "x0^2*x1"], ["census", "-"]])
+    def test_exits_with_one_code_and_no_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "symmetrizer", *argv],
+                input=b'{"kind": "fermat", "nvars": 3, "degree": 3}\n',
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_STDOUT, b"")
 
 
 class TestLeadingMinus:

@@ -6,7 +6,7 @@ cross-block check and `jacobian_matrix` read the per-form tables cached on
 `SymForm`. `compose_linear` with a rectangular matrix replaces the block
 restriction and re-embedding that `st_decompose` and the corpus used. The
 oracles below are the earlier implementations, which derive every value
-from `SymForm.evaluate`/`contract` or `value_on_basis`, or re-index
+from `SymForm.evaluate`/`contract` or `conftest.slot_value`, or re-index
 exponents directly. The sampler, the closure check and the fiber check
 now work on integer matrices and prove ranks mod a prime; their oracles
 are the Fraction versions with exact ranks and null spaces. The new
@@ -20,10 +20,10 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import flats, row_space, same_span
+from conftest import flats, row_space, same_span, slot_value
 from symmetrizer import algebra, linalg
 from symmetrizer.algebra import (
     CheckResult,
@@ -64,6 +64,14 @@ from symmetrizer.polys import Poly
 from symmetrizer.polytext import parse_poly
 from symmetrizer.rng import SplitMix64
 
+# A failing example is reported as drawn, unshrunk: shrinking the composite
+# forms() and endomorphisms() draws reruns the algebra on every candidate
+# and could take minutes and hundreds of MB before any report. Each test
+# keeps its own example count.
+REPORT_AS_DRAWN = settings(
+    deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+)
+
 # ---------------------------------------------------------------------------
 # Oracles: the contraction-based evaluators, as they were before the table.
 
@@ -92,8 +100,8 @@ def oracle_constraint_matrix(F: SymForm) -> Matrix:
             for beta in enumerate_monomials(n, d - 2):
                 row = [Q(0)] * (n * n)
                 for k in range(n):
-                    row[k * n + i] += F.value_on_basis((k, j) + monomial_slots(beta))
-                    row[k * n + j] -= F.value_on_basis((k, i) + monomial_slots(beta))
+                    row[k * n + i] += slot_value(F, (k, j) + monomial_slots(beta))
+                    row[k * n + j] -= slot_value(F, (k, i) + monomial_slots(beta))
                 rows.append(row)
     return Matrix.from_rows(rows, n * n)
 
@@ -317,7 +325,7 @@ def outcome(fn, *args):
 
 class TestTable:
     @given(forms())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_slices_are_the_polarized_values(self, F):
         den, slices = F.hessian_slices
         betas = enumerate_monomials(F.nvars, F.degree - 2)
@@ -325,12 +333,12 @@ class TestTable:
         for beta, H in zip(betas, slices):
             for k in range(F.nvars):
                 for j in range(F.nvars):
-                    value = F.value_on_basis((k, j) + monomial_slots(beta))
+                    value = slot_value(F, (k, j) + monomial_slots(beta))
                     assert Q(H[k][j], den) == value
                     assert H[k][j] == H[j][k]
 
     @given(forms())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_jacobian_matches_contractions(self, F):
         assert jacobian_matrix(F) == oracle_jacobian_matrix(F)
         assert jacobian_matrix(F) is jacobian_matrix(F)
@@ -344,12 +352,12 @@ class TestTable:
 
 class TestAgainstOracles:
     @given(forms())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_constraint_matrix(self, F):
         assert constraint_matrix(F) == oracle_constraint_matrix(F)
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=80)
+    @settings(REPORT_AS_DRAWN, max_examples=80)
     def test_symmetry_violation(self, F, data):
         g = data.draw(endomorphisms(F, symmetrizer_algebra(F)))
         assert symmetry_violation(F, g) == oracle_symmetry_violation(F, g)
@@ -367,7 +375,7 @@ class TestAgainstOracles:
             symmetry_violation(F, Matrix.identity(3))
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_kernel_image_vanishing(self, F, data):
         A = symmetrizer_algebra(F)
         h = data.draw(endomorphisms(F, A))
@@ -379,7 +387,7 @@ class TestAgainstOracles:
             )
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=80)
+    @settings(REPORT_AS_DRAWN, max_examples=80)
     def test_pairings(self, F, data):
         n = F.nvars
         vectors = st.lists(st.tuples(*[rationals] * n), max_size=3)
@@ -387,7 +395,7 @@ class TestAgainstOracles:
         assert pairings_vanish(F, us, ws) == oracle_pairings_vanish(F, us, ws)
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_cross_block_check_on_arbitrary_blocks(self, F, data):
         n = F.nvars
         sizes = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
@@ -403,7 +411,7 @@ class TestAgainstOracles:
         assert _cross_block_check(F, dec) == oracle_cross_block_check(F, dec)
 
     @given(forms())
-    @settings(deadline=None, max_examples=40)
+    @settings(REPORT_AS_DRAWN, max_examples=40)
     def test_cross_block_check_on_decompositions(self, F):
         if not is_nondegenerate(F):
             return
@@ -415,7 +423,7 @@ class TestAgainstOracles:
                 assert blk.form == oracle_restrict_form(F, blk.basis)
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=40)
+    @settings(REPORT_AS_DRAWN, max_examples=40)
     def test_fiber_invariance_with_and_without_algebra(self, F, data):
         n = F.nvars
         A = symmetrizer_algebra(F)
@@ -433,7 +441,7 @@ class TestRectangularComposeLinear:
     to A's columns and, for rows of an identity, the re-embedding."""
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_restriction_to_columns(self, F, data):
         n = F.nvars
         m = data.draw(st.integers(1, n + 1))
@@ -448,7 +456,7 @@ class TestRectangularComposeLinear:
             assert all(alpha[j] == 0 for alpha in G.coeff_map)
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_embedding_by_identity_rows(self, F, data):
         n = F.nvars
         N = data.draw(st.integers(n, n + 3))
@@ -467,14 +475,14 @@ class TestIdentitySuiteReuse:
     exactly what the Fraction and null-space versions gave."""
 
     @given(forms(), st.integers(0, 50), st.integers(1, 8))
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_samples_and_their_order(self, F, seed, count):
         A = symmetrizer_algebra(F)
         got = sample_invertible_symmetrizers(F, A, seed=seed, count=count)
         assert got == oracle_sample_invertible_symmetrizers(F, A, seed, count)
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_closure_report(self, F, data):
         A = symmetrizer_algebra(F)
         assert algebra_closure_check(A) == oracle_algebra_closure_check(A)
@@ -503,7 +511,7 @@ class TestIdentitySuiteReuse:
         assert [p.product_in_span for p in report.pairs if (p.i, p.j) == (1, 2)] == [False]
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=40)
+    @settings(REPORT_AS_DRAWN, max_examples=40)
     def test_fiber_report(self, F, data):
         n = F.nvars
         A = symmetrizer_algebra(F)
@@ -517,7 +525,7 @@ class TestIdentitySuiteReuse:
             assert outcome(fiber_invariance_check, F, g, A, Fg) == expected
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=30)
+    @settings(REPORT_AS_DRAWN, max_examples=30)
     def test_fiber_report_against_a_wrong_algebra(self, F, data):
         """Both proofs fail or fall short, so the exact comparison decides."""
         n = F.nvars
@@ -534,7 +542,7 @@ class TestIdentitySuiteReuse:
             )
 
     @given(forms(), st.data())
-    @settings(deadline=None, max_examples=30)
+    @settings(REPORT_AS_DRAWN, max_examples=30)
     def test_fiber_fallback_gives_the_same_report(self, F, data):
         """With no certificate at all the exact null space decides, unless
         g_F is all of End(V), where the bound n² − dim g_F = 0 holds."""
@@ -553,7 +561,7 @@ class TestIdentitySuiteReuse:
         assert expected == oracle_nullspace_fiber_invariance_check(F, g, A)
 
     @given(forms())
-    @settings(deadline=None, max_examples=60)
+    @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_jacobian_kernel_and_point(self, F):
         J = oracle_jacobian_matrix(F)
         assert jacobian_kernel(F) == nullspace(J.transpose())

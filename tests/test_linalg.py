@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from symmetrizer import linalg, polys
 from symmetrizer.linalg import (
     P,
+    InvariantError,
     Matrix,
     Span,
     integer_row,
@@ -427,6 +428,15 @@ class TestJordanChevalley:
         assert S * N == N * S
         assert nilpotency_index(N) is not None
         assert is_squarefree(minimal_polynomial(S))
+
+    def test_a_newton_step_off_the_commutant_is_an_invariant_error(self, monkeypatch):
+        # (t - 1)^2 takes one Newton step; a doctored step S = A - X with X
+        # not commuting with A leaves S·N ≠ N·S
+        A, X = M([1, 1], [0, 1]), M([0, 0], [1, 0])
+        steps = iter([X, Matrix.identity(2), Matrix.zeros(2)])
+        monkeypatch.setattr(linalg, "poly_at_matrix", lambda p, S: next(steps))
+        with pytest.raises(InvariantError, match="stopped commuting"):
+            jordan_chevalley(A)
 
 
 def newton_jordan_chevalley(A: Matrix) -> tuple[Matrix, Matrix]:

@@ -1,7 +1,7 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
-exists on the engine, no small command line ends outside the documented
-exit codes, and a fixed set of command lines prints exactly the recorded
-golden outputs."""
+exists on the engine, the census workload computes each fact once, no
+small command line ends outside the documented exit codes, and a fixed
+set of command lines prints exactly the recorded golden outputs."""
 
 import contextlib
 import importlib
@@ -9,13 +9,15 @@ import importlib.util
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetrizer import cli, forms
+from symmetrizer import algebra, cli, corpus, forms
+from symmetrizer.linalg import Matrix
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -26,16 +28,20 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # probes, dim U of 2 and 3, a census of regular and fractional
 # nilpotents and three-block sums at degrees 3 and 4, degenerate forms
 # with the kernel <(1, -1, 0)> and with a 2-dimensional kernel off the
-# coordinate axes, and a census of cones and of prescribed nilpotents
-# with dim U from 2 to 4). A change
+# coordinate axes, a census of cones and of prescribed nilpotents with
+# dim U from 2 to 4, and a census that repeats one prescribed (h, d) at
+# three seeds between two seeds of another). A change
 # that keeps every output must keep these bytes. After an intended output
 # change, rewrite the expectations with `PYTHONPATH=src python
 # tests/test_tooling.py` and review the diff.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 def _traced_layers() -> tuple[str, ...]:
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    path = PERFBENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -54,6 +60,38 @@ def test_traced_layer_exists(layer):
     else:
         fn = getattr(home, attr)
     assert callable(fn)
+
+
+def test_census_stream_computes_each_fact_once(monkeypatch):
+    """On the seed-1 census_stream inputs (30 calls, 600 specs, 150 of them
+    prescribed with 5 distinct (h, d)): nilpotency is proved once per
+    prescribed matrix and once per unipotent basis element, no matrix
+    power is taken, and each form space is solved once."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    calls = importlib.import_module("workloads").census_stream(1)
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (algebra, corpus):
+        monkeypatch.setattr(module, "nilpotency_index", counting("nilpotency", module.nilpotency_index))
+    monkeypatch.setattr(Matrix, "__pow__", counting("power", Matrix.__pow__))
+    monkeypatch.setattr(corpus, "nilpotent_form_space", counting("form space", corpus.nilpotent_form_space))
+    corpus._form_space.cache_clear()
+    try:
+        for call in calls:
+            code, out, _ = invoke(call.argv, call.stdin)
+            assert (code, len(out.splitlines())) == (0, call.nops)
+    finally:
+        corpus._form_space.cache_clear()
+    assert (len(calls), sum(call.nops for call in calls)) == (30, 600)
+    assert counts["nilpotency"] <= 302
+    assert counts["power"] == 0
+    assert counts["form space"] == 5
 
 
 # ---------------------------------------------------------------------------
