@@ -2,12 +2,30 @@
 
 For a symmetric d-form F, the symmetrizer algebra g_F is the space of
 endomorphisms g with F(g·v1, v2, ..., vd) still fully symmetric. This
-module computes g_F as an exact nullspace, splits it into semisimple
-(torus) and nilpotent (unipotent) parts, derives direct-sum
-decompositions of F from the torus, locates the singular points forced
-by square-zero nilpotents, and transports forms along shared Jacobian
-images. Identity checks over all of these are bundled at the end; a
-failing check is an engine bug, never a property of the input.
+module computes g_F exactly, splits it into semisimple (torus) and
+nilpotent (unipotent) parts, derives direct-sum decompositions of F from
+the torus, locates the singular points forced by square-zero nilpotents,
+and transports forms along shared Jacobian images. Identity checks over
+all of these are bundled at the end; a failing check is an engine bug,
+never a property of the input.
+
+g_F is read off the Hessian pencil. g is in g_F iff every H_beta g is
+symmetric, i.e. g^T H_beta = H_beta g, so also for H = sum_b H_b and
+H' = sum_b (b + 1) H_b. (A) When H has rank n mod P it is invertible,
+g^T = H g H^-1, and g commutes with M = H^-1 H'. (B) When the integer
+flats of I, M, ..., M^(n-1) have rank n mod P, M is nonderogatory, so
+its centralizer is Q[M] and g_F lies in it. (B) and the rank of R below
+are computed on M mod P: M's denominators divide det H, a unit mod P by
+(A), so M^k mod P is a unit multiple of M^k's integer flat, and each
+column of R mod P a unit multiple of its integer column. Then
+g = sum_k a_k M^k is in g_F iff a is in the kernel of R, the system with
+one row per (i < j, beta) and column k holding (H_beta M^k)[j][i] -
+(H_beta M^k)[i][j]: n unknowns against the n² of `constraint_matrix`.
+Column 0 is zero, so rank n - 1 mod P proves
+g_F = <I> with no exact elimination; otherwise the exact kernel of R
+gives g_F. When (A) or (B) fails (cones, forms with a vanishing Hessian,
+a derogatory M), g_F is the exact null space of `constraint_matrix`,
+which gives the same canonical basis.
 
 The unipotent part of a nondegenerate g_F is the radical of its trace
 form (x, y) -> tr(xy) (Dickson's criterion): the kernel of the Gram
@@ -29,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import comb
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .forms import (
@@ -52,6 +70,7 @@ from .linalg import (
     Matrix,
     Span,
     Vec,
+    free_column_basis,
     integer_row,
     is_invertible,
     jordan_chevalley,
@@ -61,8 +80,9 @@ from .linalg import (
     poly_at_matrix,
     rank_mod_p,
     solve_matrix,
+    solve_mod_p,
 )
-from .polys import Poly, factor_rational, is_squarefree, poly_gcd
+from .polys import P, Poly, factor_rational, is_squarefree, poly_gcd
 from .rng import SplitMix64
 
 
@@ -88,6 +108,10 @@ def constraint_matrix(F: SymForm) -> Matrix:
     The unknown g[k][i] sits at flat index k*n + i, so the row is row j
     of the Hessian slice H_beta at stride n from i, minus row i from j,
     over the table's denominator.
+
+    `symmetrizer_algebra` solves this n²-unknown system only when a
+    certificate of the pencil route fails (see the module docstring);
+    it is also that route's test oracle, and the fiber check's system.
     """
     n = F.nvars
     den, slices = F.hessian_slices
@@ -178,7 +202,9 @@ class SymmetrizerAlgebra:
 def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     """Compute g_F and, for nondegenerate F, its torus/unipotent split."""
     n = F.nvars
-    basis = tuple(Matrix.from_flat(n, v) for v in nullspace(constraint_matrix(F)))
+    basis = _pencil_basis(F)
+    if basis is None:
+        basis = tuple(Matrix.from_flat(n, v) for v in nullspace(constraint_matrix(F)))
     unipotent = dim_torus = dim_unip = None
     if is_nondegenerate(F):
         unipotent = _trace_form_radical(basis, n)
@@ -196,6 +222,87 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     if not A.contains(Matrix.identity(n)):
         raise InvariantError("identity endomorphism missing from the algebra")
     return A
+
+
+def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
+    """g_F as the kernel of the pencil system R inside Q[M], M = H⁻¹H′,
+    or None when certificate A or B fails (see the module docstring).
+    The basis is the one `nullspace(constraint_matrix(F))` gives."""
+    n = F.nvars
+    # each slice as the nonzero (l, H_beta[j][l]) of each of its rows j
+    sparse = [
+        [[(l, h) for l, h in enumerate(row) if h] for row in Hb] for Hb in F.hessian_slices[1]
+    ]
+    H = [[0] * n for _ in range(n)]
+    H2 = [[0] * n for _ in range(n)]
+    for b, Hb in enumerate(sparse, 1):
+        for j, row in enumerate(Hb):
+            for l, h in row:
+                H[j][l] += h
+                H2[j][l] += b * h
+    M = solve_mod_p(H, H2)
+    if M is None:  # certificate A: H is invertible
+        return None
+    powers = [M] if n > 1 else []  # M^1, ..., M^(n-1) mod P
+    while len(powers) < n - 1:
+        powers.append(_product_mod_p(powers[-1], M))
+    identity = Matrix.identity(n)
+    flats = [identity.flat_ints()] + [list(chain.from_iterable(T)) for T in powers]
+    if rank_mod_p(flats, n * n) < n:  # certificate B: M is nonderogatory
+        return None
+    if rank_mod_p(_pencil_rows(sparse, powers, n), n - 1) == n - 1:
+        return (identity,)
+    exact = [solve_matrix(Matrix(tuple(map(tuple, H)), 1, n), Matrix(tuple(map(tuple, H2)), 1, n))]
+    while len(exact) < n - 1:
+        exact.append(exact[-1] * exact[0])
+    R = Matrix(tuple(map(tuple, _pencil_rows(sparse, [T.ints for T in exact], n))), 1, n - 1)
+    entries = list(zip(*(T.flat_ints() for T in exact)))  # entry t of every power
+    gens = [identity.flat_ints()]
+    for v in nullspace(R):
+        c = integer_row(v)[1]
+        gens.append([sum(map(mul, c, e)) for e in entries])
+    return tuple(
+        Matrix(tuple(tuple(row[i:i + n]) for i in range(0, n * n, n)), den, n)
+        for den, row in free_column_basis(gens, n * n)
+    )
+
+
+def _pencil_rows(sparse, powers: Sequence, n: int):
+    """The nonzero rows of R, one per (beta, i < j), for the sparse slices
+    and the integer matrices T_1, ..., T_(n-1) of `powers`: column k - 1
+    holds (H_beta T_k)[j][i] - (H_beta T_k)[i][j]. The column of T_0 = I
+    is zero, since every H_beta is symmetric, and is left out. Lazy, so a
+    rank test that reaches its bound stops building rows."""
+    # row l of every power side by side: stack[l][(k-1)n + i] = T_k[l][i]
+    stack = [list(chain.from_iterable(T[l] for T in powers)) for l in range(n)]
+    for Hb in sparse:
+        # prods[j][(k-1)n + i] = (H_beta T_k)[j][i]; None for a zero row j
+        prods = []
+        for row in Hb:
+            acc = None
+            for l, h in row:
+                s = stack[l]
+                acc = [h * x for x in s] if acc is None else [a + h * x for a, x in zip(acc, s)]
+            prods.append(acc)
+        for i in range(n):
+            pi = prods[i]
+            for j in range(i + 1, n):
+                pj = prods[j]
+                if pj is None:
+                    if pi is None:
+                        continue
+                    r = [-x for x in pi[j::n]]
+                elif pi is None:
+                    r = pj[i::n]
+                else:
+                    r = list(map(sub, pj[i::n], pi[j::n]))
+                if any(r):
+                    yield r
+
+
+def _product_mod_p(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*B))
+    return [[sum(map(mul, r, c)) % P for c in cols] for r in A]
 
 
 def _trace_form_radical(basis: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
@@ -703,10 +810,8 @@ def check_identities(
             and unipotent == Span([u.flat_ints() for u in A.unipotent_basis], nn),
             f"dims ({A.dim_total}, {A.dim_torus}, {A.dim_unipotent})",
         )
-        ok_split = all(
-            is_squarefree(minimal_polynomial(S)) and nilpotency_index(N) is not None
-            for S, N in zip(A.semisimple_parts, A.nilpotent_parts)
-        )
+        # `_split` has already proved each nilpotent part nilpotent
+        ok_split = all(is_squarefree(minimal_polynomial(S)) for S in A.semisimple_parts)
         out["split_parts"] = _passfail(ok_split, "a split part has the wrong type")
     else:
         skip = CheckResult("skip", "degenerate form: split not computed")

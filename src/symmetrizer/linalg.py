@@ -196,20 +196,6 @@ class Matrix:
         ints = tuple(tuple(c.numerator * x for x in r) for r in self.ints)
         return Matrix(ints, self.den * c.denominator, self.ncols)
 
-    def __pow__(self, k: int) -> "Matrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        out = Matrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
@@ -262,6 +248,26 @@ def rank_mod_p(int_rows: Sequence[Sequence[int]], ncols: int) -> int:
             if len(pivots) == ncols:
                 break
     return len(pivots)
+
+
+def solve_mod_p(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """A⁻¹B mod P for a square integer A and an integer B with as many
+    rows, or None when A is singular mod P. A pivot in every column is
+    `rank_mod_p`'s certificate that A is invertible over the rationals."""
+    n = len(A)
+    rows = [[x % P for x in chain(a, b)] for a, b in zip(A, B)]
+    for c in range(n):
+        sel = next((i for i in range(c, n) if rows[i][c]), None)
+        if sel is None:
+            return None
+        rows[c], rows[sel] = rows[sel], rows[c]
+        inv = pow(rows[c][c], -1, P)
+        prow = rows[c] = [x * inv % P for x in rows[c]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != c:
+                rows[i] = [(x - f * y) % P for x, y in zip(row, prow)]
+    return [r[n:] for r in rows]
 
 
 def is_invertible(M: Matrix) -> bool:
@@ -348,6 +354,25 @@ def nullspace(M: Matrix) -> list[Vec]:
             v[p] = Fraction(-red.ints[r][free], red.den)
         basis.append(tuple(v))
     return basis
+
+
+def free_column_basis(
+    vectors: Sequence[Sequence[int]], ncols: int
+) -> list[tuple[int, Sequence[int]]]:
+    """The basis `nullspace` returns for the kernel that these integer
+    vectors span, as (den, ints) pairs in ascending free-column order.
+
+    A `nullspace` vector is 1 at its free column, 0 at the other free
+    columns, and otherwise nonzero only at pivot columns left of its own.
+    So with the columns reversed the vectors are the rref of the kernel,
+    which the echelon of any spanning family gives: each as a primitive
+    row over its positive pivot."""
+    rows, pivots = _echelon([v[::-1] for v in vectors], ncols)
+    out = []
+    for r in reversed(range(len(pivots))):
+        row, den = rows[r][::-1], rows[r][pivots[r]]
+        out.append((den, row) if den > 0 else (-den, [-x for x in row]))
+    return out
 
 
 def solve_matrix(M: Matrix, B: Matrix) -> Matrix | None:

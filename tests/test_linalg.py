@@ -13,6 +13,7 @@ from symmetrizer.linalg import (
     InvariantError,
     Matrix,
     Span,
+    free_column_basis,
     integer_row,
     is_invertible,
     jordan_chevalley,
@@ -24,6 +25,7 @@ from symmetrizer.linalg import (
     rref,
     solve,
     solve_matrix,
+    solve_mod_p,
     span_contains,
     vector,
 )
@@ -607,6 +609,39 @@ class TestIntegerKernelsMatchOracles:
         got = poly_at_matrix(p, A)
         assert in_lowest_terms(got) and got.rows == as_rows(oracle_poly_at_matrix(p, A))
 
+    @given(rational_matrices(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_free_column_basis_is_the_nullspace(self, A, data):
+        kernel = oracle_nullspace(A)
+        # any spanning family: the kernel vectors scaled, shuffled, with
+        # integer combinations of them mixed in
+        scales = [data.draw(nonzero_rationals) for _ in kernel]
+        family = [[c * e for e in v] for c, v in zip(scales, kernel)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            combo = [data.draw(st.integers(-3, 3)) for _ in kernel]
+            family.append([sum((c * v[j] for c, v in zip(combo, kernel)), Q(0))
+                           for j in range(A.ncols)])
+        family = data.draw(st.permutations(family))
+        got = free_column_basis([integer_row(v)[1] for v in family], A.ncols)
+        assert all(den > 0 and gcd(den, *row) == 1 for den, row in got)
+        assert [tuple(Q(x, den) for x in row) for den, row in got] == kernel
+
+    @given(matrices(nmax=5), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_solve_mod_p(self, A, data):
+        B = data.draw(matrices(nmin=A.nrows, nmax=A.nrows, square=False))
+        got = solve_mod_p(A.ints, B.ints)
+        if rank_mod_p(A.ints, A.ncols) < A.nrows:
+            assert got is None
+        else:
+            X = solve_matrix(A, B)
+            unit = pow(X.den, -1, P)
+            assert got == [[x * unit % P for x in row] for row in X.ints]
+
+    def test_solve_mod_p_refuses_a_matrix_singular_only_mod_p(self):
+        assert solve_mod_p([[P]], [[1]]) is None
+        assert solve_mod_p([[2, 0], [0, 1]], [[1], [3]]) == [[pow(2, -1, P)], [3]]
+
     def test_negative_pivot_and_coprime_denominators(self):
         A = M([Q(-3, 65537), Q(1, 7), 0], [Q(2, 1000003), Q(-5, 97), Q(1, 2)])
         assert rref(A) == oracle_rref(A)
@@ -668,12 +703,6 @@ class TestMatrixFormat:
         else:
             inv = A.inverse()
             assert in_lowest_terms(inv) and inv.rows == as_rows(expected)
-
-    @given(square_matrices(4), st.integers(0, 4))
-    @settings(deadline=None, max_examples=100)
-    def test_powers(self, A, k):
-        got = A**k
-        assert in_lowest_terms(got) and got.rows == as_rows(oracle_power_rows(A, k))
 
     @given(rational_matrices(), st.data())
     @settings(deadline=None, max_examples=150)

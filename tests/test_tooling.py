@@ -1,5 +1,6 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
-exists on the engine, a census proves each nilpotency once, no small
+exists on the engine, a census proves each nilpotency once and builds
+the n²-wide constraint system only when the pencil fails, no small
 command line ends outside the documented exit codes, and a fixed set of
 command lines prints exactly the recorded golden outputs."""
 
@@ -16,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetrizer import algebra, cli, corpus, forms
-from symmetrizer.linalg import Matrix
+from symmetrizer import algebra, cli, corpus, forms, polytext
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -59,10 +59,17 @@ def test_traced_layer_exists(layer):
     assert callable(fn)
 
 
-def test_census_proves_nilpotency_once_and_takes_no_power(monkeypatch):
+def counting(counts: Counter, name: str, fn):
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_census_proves_nilpotency_once(monkeypatch):
     """A census of prescribed nilpotents with dim U of 2 and 3: nilpotency
     is proved once per prescribed matrix and once per unipotent basis
-    element, and no matrix power is taken."""
+    element."""
     h = "0,0,0,0;1,0,0,0;0,1,0,0;0,0,0,0"
     stdin = "".join(
         json.dumps({"kind": "prescribed_nilpotent", "nvars": 4, "degree": 3,
@@ -70,22 +77,44 @@ def test_census_proves_nilpotency_once_and_takes_no_power(monkeypatch):
         for seed in (1, 2, 3)
     )
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
     for module in (algebra, corpus):
-        monkeypatch.setattr(module, "nilpotency_index", counting("nilpotency", module.nilpotency_index))
-    monkeypatch.setattr(Matrix, "__pow__", counting("power", Matrix.__pow__))
+        monkeypatch.setattr(
+            module, "nilpotency_index", counting(counts, "nilpotency", module.nilpotency_index)
+        )
     code, out, _ = invoke(["census", "-"], stdin)
     records = [json.loads(line) for line in out.splitlines()]
     assert code == 0
     assert sorted(r["dim_unipotent"] for r in records) == [2, 2, 3]
     assert counts["nilpotency"] == sum(1 + r["dim_unipotent"] for r in records)
-    assert counts["power"] == 0
+
+
+def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
+    """A census of random, Fermat and st_sum forms reads g_F off the
+    pencil and never builds the n²-wide constraint system; a cone, a form
+    with vanishing Hessian and one with a derogatory pencil ratio each
+    build it once."""
+    counts = Counter()
+    monkeypatch.setattr(
+        algebra, "constraint_matrix", counting(counts, "wide", algebra.constraint_matrix)
+    )
+    specs = [
+        {"kind": kind, "nvars": n, "degree": 3, "seed": 1}
+        | ({"blocks": [2, n - 2]} if kind == "st_sum" else {})
+        for kind in ("random", "fermat", "st_sum")
+        for n in (4, 5)
+    ]
+    code, out, _ = invoke(["census", "-"], "".join(json.dumps(s) + "\n" for s in specs))
+    assert code == 0 and len(out.splitlines()) == len(specs)
+    assert counts["wide"] == 0
+    fallbacks = [
+        corpus.generate(corpus.GeneratorSpec(kind="cone", nvars=4, degree=3)),
+        polytext.parse_poly("x0*x3^2 + x1*x3*x4 + x2*x4^2"),
+        polytext.parse_poly("2*x0*x2*x3 + 2*x1*x3^2"),
+    ]
+    for F in fallbacks:
+        counts.clear()
+        algebra.symmetrizer_algebra(F)
+        assert counts["wide"] == 1
 
 
 # ---------------------------------------------------------------------------
