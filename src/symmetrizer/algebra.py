@@ -27,6 +27,15 @@ gives g_F. When (A) or (B) fails (cones, forms with a vanishing Hessian,
 a derogatory M), g_F is the exact null space of `constraint_matrix`,
 which gives the same canonical basis.
 
+The fiber check needs only a bound on dim g_{F^g}, and reads it off the
+pencil of F^g's own table with the same certificates
+(`_pencil_certificates`, shared with `_pencil_basis`): when (A) and (B)
+hold there, dim g_{F^g} = n - rank R^g <= n - rank of R^g mod P. Since
+H^g_beta = g^T H_beta, M^g = M, so for a g with det g a unit mod P they
+hold on F^g exactly when they hold on F. The n²-wide rows of F^g are
+ranked mod P only when a certificate fails or the bound exceeds dim g_F,
+and their exact null space is computed only when that falls short too.
+
 The unipotent part of a nondegenerate g_F is the radical of its trace
 form (x, y) -> tr(xy) (Dickson's criterion): the kernel of the Gram
 matrix G_ij = tr(b_i b_j) on the basis. (a) A nilpotent x commuting with
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from math import comb
+from math import comb, lcm
 from operator import mul, sub
 from typing import Sequence
 
@@ -224,10 +233,11 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     return A
 
 
-def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
-    """g_F as the kernel of the pencil system R inside Q[M], M = H⁻¹H′,
-    or None when certificate A or B fails (see the module docstring).
-    The basis is the one `nullspace(constraint_matrix(F))` gives."""
+def _pencil_certificates(F: SymForm) -> tuple[list, list, list, int] | None:
+    """Certificates A and B on F's own Hessian table (see the module
+    docstring) and the rank mod P of its pencil system R: (sparse
+    slices, H, H′, rank), or None when A or B fails. When they hold,
+    dim g_F = n − rank R over Q ≤ n − rank."""
     n = F.nvars
     # each slice as the nonzero (l, H_beta[j][l]) of each of its rows j
     sparse = [
@@ -246,11 +256,23 @@ def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
     powers = [M] if n > 1 else []  # M^1, ..., M^(n-1) mod P
     while len(powers) < n - 1:
         powers.append(_product_mod_p(powers[-1], M))
-    identity = Matrix.identity(n)
-    flats = [identity.flat_ints()] + [list(chain.from_iterable(T)) for T in powers]
+    flats = [Matrix.identity(n).flat_ints()] + [list(chain.from_iterable(T)) for T in powers]
     if rank_mod_p(flats, n * n) < n:  # certificate B: M is nonderogatory
         return None
-    if rank_mod_p(_pencil_rows(sparse, powers, n), n - 1) == n - 1:
+    return sparse, H, H2, rank_mod_p(_pencil_rows(sparse, powers, n), n - 1)
+
+
+def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
+    """g_F as the kernel of the pencil system R inside Q[M], M = H⁻¹H′,
+    or None when certificate A or B fails (see the module docstring).
+    The basis is the one `nullspace(constraint_matrix(F))` gives."""
+    certified = _pencil_certificates(F)
+    if certified is None:
+        return None
+    sparse, H, H2, rank = certified
+    n = F.nvars
+    identity = Matrix.identity(n)
+    if rank == n - 1:
         return (identity,)
     exact = [solve_matrix(Matrix(tuple(map(tuple, H)), 1, n), Matrix(tuple(map(tuple, H2)), 1, n))]
     while len(exact) < n - 1:
@@ -682,9 +704,15 @@ def fiber_invariance_check(
 
     `algebra` is g_F and `twisted` is F^g when the caller has them. The
     algebras agree when every basis element of g_F symmetrizes F^g and
-    the constraint rows of F^g have rank mod P at least n² − dim g_F,
-    which bounds dim g_{F^g} by dim g_F; when either proof falls short,
-    g_{F^g} is computed exactly and compared."""
+    dim g_{F^g} ≤ dim g_F. The bound is read off the Hessian pencil of
+    F^g's own table: when certificates A and B hold there, dim g_{F^g}
+    ≤ n − rank R^g mod P, from n − 1 columns. (H^g_beta = g^T H_beta
+    gives M^g = M, so they hold whenever they hold for F and det g is a
+    unit mod P.) Only when a certificate fails or that bound exceeds
+    dim g_F are the n²-wide constraint rows of F^g ranked mod P, asking
+    for rank ≥ n² − dim g_F; when that also falls short, or the
+    inclusion fails, g_{F^g} is the exact null space of those rows, and
+    is compared."""
     witness = symmetry_violation(F, g)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
@@ -694,11 +722,16 @@ def fiber_invariance_check(
     Fg = twisted if twisted is not None else twist(F, g, check=False)
 
     A = algebra if algebra is not None else symmetrizer_algebra(F)
-    C = constraint_matrix(Fg)
-    algebra_match = (
-        all(symmetry_violation(Fg, b) is None for b in A.basis)
-        and rank_mod_p(C.ints, n * n) >= n * n - A.span.dim
-    ) or A.span == Span(nullspace(C), n * n)
+    nn, dim = n * n, A.span.dim
+    included = all(symmetry_violation(Fg, b) is None for b in A.basis)
+    certified = _pencil_certificates(Fg) if included else None
+    if certified is not None and n - certified[-1] <= dim:
+        algebra_match = True
+    else:
+        C = constraint_matrix(Fg)
+        algebra_match = (
+            included and rank_mod_p(C.ints, nn) >= nn - dim
+        ) or A.span == Span(nullspace(C), nn)
 
     kernel_F = jacobian_kernel(F)
     if kernel_F:
@@ -723,13 +756,18 @@ def sample_invertible_symmetrizers(
     mod P certifies most of them)."""
     A = algebra if algebra is not None else symmetrizer_algebra(F)
     n = F.nvars
+    # the basis as integer flats over one common denominator
+    den = lcm(*(b.den for b in A.basis))
+    scaled = [[x * (den // b.den) for x in b.flat_ints()] for b in A.basis]
+    entries = list(zip(*scaled)) if scaled else [()] * (n * n)
     rng = SplitMix64(seed)
     out: list[Matrix] = []
     for _ in range(64 * count):
         if len(out) >= count:
             break
         coeffs = [rng.int_in(-5, 5) for _ in A.basis]
-        g = sum((c * b for c, b in zip(coeffs, A.basis)), Matrix.zeros(n))
+        flat = [sum(map(mul, coeffs, e)) for e in entries]
+        g = Matrix(tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)), den, n)
         if is_invertible(g):
             out.append(g)
     if not out:

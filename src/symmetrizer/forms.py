@@ -21,11 +21,13 @@ row space Ker(∂F)^⊥ and the rref depends only on the row space. The
 Jacobian matrix and its reduced echelon form, cached on the form, serve
 only the Grassmann point and transport.
 
-Degree and variable-count constraints of the application domain (d >= 3,
-n >= 2) are enforced at the generation and parsing boundary, not here:
-contraction and Jacobian rows naturally produce lower-degree forms. The
-same boundary refuses a shape whose `cost_estimate` exceeds MAX_CELLS,
-before any table is built.
+The domain's constraints are not enforced here, since contraction and
+Jacobian rows naturally produce lower-degree forms: a SymForm needs only
+n >= 1 and d >= 0. Both boundaries, `parse_poly` and the corpus
+generator, require d >= 3; only the generator requires n >= 2, so
+`parse_poly("x0^3")` is a form in one variable. `parse_poly` and the
+CLI's `generate` and `census` specs refuse a shape whose
+`cost_estimate` exceeds MAX_CELLS, before any table is built.
 """
 
 from __future__ import annotations
@@ -458,20 +460,27 @@ def twist(F: SymForm, g: Matrix, check: bool = True) -> SymForm:
         if witness is not None:
             raise NotASymmetrizerError(*witness)
     n, d = F.nvars, F.degree
-    out: dict[Exponents, Fraction] = {}
+    # every e * c * g_ij as an integer over den = d * g.den * lcm(c.denominator)
+    lc = lcm(*(c.denominator for _, c in F.terms))
+    den = d * g.den * lc
+    out: dict[Exponents, int] = {}
     for alpha, c in F.terms:
+        c = c.numerator * (lc // c.denominator)
         for i, e in enumerate(alpha):
             if e == 0:
                 continue
             # (1/d) * x_i-partial, then multiply by the linear form (g·x)_i
             base = alpha[:i] + (e - 1,) + alpha[i + 1 :]
-            scale = Fraction(e, d * g.den) * c
+            scale = e * c
             for j, gij in enumerate(g.ints[i]):
                 if gij == 0:
                     continue
                 beta = base[:j] + (base[j] + 1,) + base[j + 1 :]
-                out[beta] = out.get(beta, Fraction(0)) + scale * gij
-    return SymForm.from_coeffs(n, d, out)
+                out[beta] = out.get(beta, 0) + scale * gij
+    order = monomial_index(n, d)
+    return SymForm(n, d, tuple(
+        (beta, Fraction(out[beta], den)) for beta in sorted(out, key=order.__getitem__) if out[beta]
+    ))
 
 
 def vanishing_order(F: SymForm, u: Sequence | ProjectivePoint) -> int:

@@ -161,6 +161,31 @@ def oracle_embed_form(G: SymForm, nvars: int, offsets) -> SymForm:
     return SymForm.from_coeffs(nvars, G.degree, coeffs)
 
 
+def oracle_twist(F: SymForm, g: Matrix, check: bool = True) -> SymForm:
+    """The Fraction twist: one Fraction product and sum per term of
+    (1/d)·∂_iP·(g·x)_i, merged by `from_coeffs`."""
+    if g.nrows != F.nvars or g.ncols != F.nvars:
+        raise ValueError("endomorphism dimension must match the form")
+    if check:
+        witness = oracle_symmetry_violation(F, g)
+        if witness is not None:
+            raise NotASymmetrizerError(*witness)
+    n, d = F.nvars, F.degree
+    out = {}
+    for alpha, c in F.terms:
+        for i, e in enumerate(alpha):
+            if e == 0:
+                continue
+            base = alpha[:i] + (e - 1,) + alpha[i + 1 :]
+            scale = Q(e, d * g.den) * c
+            for j, gij in enumerate(g.ints[i]):
+                if gij == 0:
+                    continue
+                beta = base[:j] + (base[j] + 1,) + base[j + 1 :]
+                out[beta] = out.get(beta, Q(0)) + scale * gij
+    return SymForm.from_coeffs(n, d, out)
+
+
 def oracle_fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceReport:
     """Two full symmetrizer algebras per call, as before `algebra=`."""
     witness = oracle_symmetry_violation(F, g)
@@ -468,6 +493,29 @@ class TestRectangularComposeLinear:
         F = parse_poly("x0^3 + x1^3")
         with pytest.raises(ValueError):
             compose_linear(F, Matrix.identity(3))
+
+
+class TestIntegerTwist:
+    """twist accumulates integers over one denominator and builds each
+    coefficient once; the Fraction twist it replaced is the oracle."""
+
+    @given(forms(), st.data())
+    @settings(REPORT_AS_DRAWN, max_examples=60)
+    def test_equals_the_fraction_twist(self, F, data):
+        A = symmetrizer_algebra(F)
+        g = data.draw(endomorphisms(F, A)) * Q(1, data.draw(st.sampled_from(DENOMINATORS[2:])))
+        assume(g.den > 1)
+        expected = outcome(oracle_twist, F, g)
+        assert outcome(twist, F, g) == expected
+        # unchecked, a non-symmetrizer still gives the symmetrized values
+        assert twist(F, g, check=False) == oracle_twist(F, g, check=False)
+
+    def test_zero_matrix_and_zero_form(self):
+        F = parse_poly("x0^2*x1 - 1/2*x1^3")
+        assert twist(F, Matrix.zeros(2)) == oracle_twist(F, Matrix.zeros(2)) == SymForm.zero(2, 3)
+        g = Matrix.from_rows([[Q(1, 3), 0], [0, Q(1, 3)]])
+        assert twist(SymForm.zero(2, 3), g) == SymForm.zero(2, 3)
+        assert twist(F, g) == oracle_twist(F, g) == F * Q(1, 3)
 
 
 class TestIdentitySuiteReuse:

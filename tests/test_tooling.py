@@ -1,10 +1,12 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
-exists on the engine, a census proves each nilpotency once and builds
-the n²-wide constraint system only when the pencil fails, no small
-command line ends outside the documented exit codes, and a fixed set of
-command lines prints exactly the recorded golden outputs."""
+exists on the engine, a census proves each nilpotency once, a census
+and `analyze` build the n²-wide constraint system only when a pencil
+certificate fails, no small command line ends outside the documented
+exit codes, and a fixed set of command lines prints exactly the
+recorded golden outputs."""
 
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symmetrizer import algebra, cli, corpus, forms, polytext
+from test_evaluators import oracle_nullspace_fiber_invariance_check
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -29,8 +32,11 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # nilpotents and three-block sums at degrees 3 and 4, degenerate forms
 # with the kernel <(1, -1, 0)> and with a 2-dimensional kernel off the
 # coordinate axes, a census of cones and of prescribed nilpotents with
-# dim U from 2 to 4, and a census that repeats one prescribed (h, d) at
-# three seeds between two seeds of another). A change
+# dim U from 2 to 4, a census that repeats one prescribed (h, d) at
+# three seeds between two seeds of another, and `analyze` of the random
+# cubic in 8 variables at seed 1 and of a random cubic in 4 variables
+# read as a cone in 5, whose fiber checks take the pencil of F^g and the
+# n²-wide rows respectively). A change
 # that keeps every output must keep these bytes. After an intended output
 # change, rewrite the expectations with `PYTHONPATH=src python
 # tests/test_tooling.py` and review the diff.
@@ -90,9 +96,13 @@ def test_census_proves_nilpotency_once(monkeypatch):
 
 def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
     """A census of random, Fermat and st_sum forms reads g_F off the
-    pencil and never builds the n²-wide constraint system; a cone, a form
-    with vanishing Hessian and one with a derogatory pencil ratio each
-    build it once."""
+    pencil and never builds the n²-wide constraint system, and `analyze`
+    of a random form builds it neither for g_F nor for the fiber check,
+    which bounds dim g_{F^g} on the pencil of F^g. A cone, a form with
+    vanishing Hessian and one with a derogatory pencil ratio build it
+    once for g_F and once per fiber check; so does a pencil bound above
+    dim g_F. Every such report is the exact null-space oracle's, also
+    against a wrong algebra."""
     counts = Counter()
     monkeypatch.setattr(
         algebra, "constraint_matrix", counting(counts, "wide", algebra.constraint_matrix)
@@ -106,6 +116,21 @@ def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
     code, out, _ = invoke(["census", "-"], "".join(json.dumps(s) + "\n" for s in specs))
     assert code == 0 and len(out.splitlines()) == len(specs)
     assert counts["wide"] == 0
+    random_form = corpus.generate(corpus.GeneratorSpec(kind="random", nvars=5, degree=3, seed=1))
+    code, out, _ = invoke(["analyze", str(random_form)])
+    assert code == 0 and json.loads(out)["checks"]["fiber_invariance"] == {"status": "pass"}
+    assert counts["wide"] == 0
+
+    def fiber_reports(F, A):
+        g = algebra.sample_invertible_symmetrizers(F, A, seed=1, count=1)[0]
+        wrong = dataclasses.replace(A, basis=A.basis[1:])
+        for B in (A, wrong):
+            counts.clear()
+            report = algebra.fiber_invariance_check(F, g, B)
+            assert counts["wide"] == 1
+            assert report == oracle_nullspace_fiber_invariance_check(F, g, B)
+            assert report.algebra_match is (B is A)
+
     fallbacks = [
         corpus.generate(corpus.GeneratorSpec(kind="cone", nvars=4, degree=3)),
         polytext.parse_poly("x0*x3^2 + x1*x3*x4 + x2*x4^2"),
@@ -113,8 +138,14 @@ def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
     ]
     for F in fallbacks:
         counts.clear()
-        algebra.symmetrizer_algebra(F)
+        A = algebra.symmetrizer_algebra(F)
         assert counts["wide"] == 1
+        fiber_reports(F, A)
+    # a rank of R^g mod P too low to bound dim g_{F^g} by dim g_F
+    A = algebra.symmetrizer_algebra(random_form)
+    certified = algebra._pencil_certificates
+    monkeypatch.setattr(algebra, "_pencil_certificates", lambda F: certified(F)[:-1] + (0,))
+    fiber_reports(random_form, A)
 
 
 # ---------------------------------------------------------------------------
