@@ -113,15 +113,28 @@ def _nilpotent(rep: NilpotentReport | None) -> Any:
     }
 
 
-def _parse_matrix_arg(text: str, n: int) -> Matrix:
-    """Rows separated by ';', entries by ',', each entry "p" or "p/q"."""
+# a matrix entry: an optional sign, then p or p/q in decimal digits
+_MATRIX_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _matrix_entry(text: str) -> Fraction:
+    entry = text.strip()
+    m = _MATRIX_ENTRY.fullmatch(entry)
+    if m is None:
+        raise GeneratorError(f"bad matrix entry {entry!r}: expected p or p/q")
     try:
-        rows = [
-            [Fraction(entry.strip()) for entry in row.split(",")]
-            for row in text.split(";")
-        ]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GeneratorError(f"bad matrix entry: {exc}") from None
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise GeneratorError(f"bad matrix entry of {len(entry)} characters: too long") from None
+    if den == 0:
+        raise GeneratorError(f"bad matrix entry {entry!r}: zero denominator")
+    return Fraction(num, den)
+
+
+def _parse_matrix_arg(text: str, n: int) -> Matrix:
+    """Rows separated by ';', entries by ',', each entry an optional sign
+    then "p" or "p/q", with spaces allowed around it."""
+    rows = [[_matrix_entry(entry) for entry in row.split(",")] for row in text.split(";")]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise GeneratorError(f"matrix must be {n}x{n}")
     return Matrix.from_rows(rows)

@@ -10,14 +10,14 @@ fully determines the output, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterable, Iterator
 
 from .algebra import nilpotent_report, symmetrizer_algebra
 from .forms import (
     SymForm,
     alpha_factorial,
-    compose_linear,
     enumerate_monomials,
     is_nondegenerate,
     monomial_index,
@@ -77,23 +77,17 @@ def _random_form(nvars: int, degree: int, seed: int, bound: int) -> SymForm:
     """Dense integer coefficients in [-bound, bound], drawn one per
     monomial in the canonical order."""
     rng = SplitMix64(seed)
-    coeffs = {}
-    for alpha in enumerate_monomials(nvars, degree):
-        c = rng.int_in(-bound, bound)
-        if c:
-            coeffs[alpha] = c
-    return SymForm.from_coeffs(nvars, degree, coeffs)
+    draws = [(alpha, rng.int_in(-bound, bound)) for alpha in enumerate_monomials(nvars, degree)]
+    return SymForm(nvars, degree, tuple((alpha, Fraction(c)) for alpha, c in draws if c))
 
 
-def _fermat(nvars: int, degree: int) -> SymForm:
-    return SymForm.from_coeffs(
-        nvars,
-        degree,
-        {
-            tuple(degree if j == i else 0 for j in range(nvars)): 1
-            for i in range(nvars)
-        },
-    )
+def _fermat(nvars: int, degree: int, powers: int) -> SymForm:
+    """The sum of x_i^degree over the first `powers` of `nvars` variables;
+    i ascending is the canonical order of these terms."""
+    one = Fraction(1)
+    return SymForm(nvars, degree, tuple(
+        (tuple(degree if j == i else 0 for j in range(nvars)), one) for i in range(powers)
+    ))
 
 
 def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
@@ -130,19 +124,18 @@ def generate(spec: GeneratorSpec) -> SymForm:
     """Produce the form a spec describes. Deterministic."""
     n, d = spec.nvars, spec.degree
     if spec.kind == "fermat":
-        return _fermat(n, d)
+        return _fermat(n, d, n)
 
     if spec.kind == "cone":
         # pure powers on all but the last variable: always degenerate
-        rows = Matrix.identity(n).rows[:-1]
-        return compose_linear(_fermat(n - 1, d), Matrix.from_rows(rows, n))
+        return _fermat(n, d, n - 1)
 
     if spec.kind == "random":
         return _random_form(n, d, spec.seed, spec.coefficient_bound)
 
     if spec.kind == "st_sum":
         stream = SplitMix64(spec.seed)
-        total = SymForm.zero(n, d)
+        terms = []
         off = 0
         for size in spec.blocks:
             for _ in range(RETRY_CAP):
@@ -153,25 +146,32 @@ def generate(spec: GeneratorSpec) -> SymForm:
                 raise GeneratorError(
                     f"no nondegenerate block of size {size} within {RETRY_CAP} draws"
                 )
-            # rows off, ..., off + size - 1 of the identity: sub in those variables
-            rows = Matrix.identity(n).rows[off : off + size]
-            total = total + compose_linear(sub, Matrix.from_rows(rows, n))
+            # sub in variables off, ..., off + size - 1. Each block's terms
+            # sort above the next block's, so the terms stay canonical.
+            head, tail = (0,) * off, (0,) * (n - off - size)
+            terms += [(head + alpha + tail, c) for alpha, c in sub.terms]
             off += size
-        return total
+        return SymForm(n, d, tuple(terms))
 
     # prescribed_nilpotent
     space = nilpotent_form_space(spec.nilpotent, d)
     if not space:
         raise GeneratorError("only the zero form admits this symmetrizer")
+    # the basis as integer vectors over one denominator: each draw is one
+    # integer combination, and each coefficient one Fraction
+    monos = enumerate_monomials(n, d)
+    index = monomial_index(n, d)
+    den = lcm(*(c.denominator for b in space for _, c in b.terms))
+    basis = [[(index[a], c.numerator * (den // c.denominator)) for a, c in b.terms] for b in space]
     rng = SplitMix64(spec.seed)
     for _ in range(RETRY_CAP):
-        coeffs = {}
-        for b in space:
+        acc = [0] * len(monos)
+        for b in basis:
             c = rng.int_in(-spec.coefficient_bound, spec.coefficient_bound)
             if c:
-                for alpha, v in b.terms:
-                    coeffs[alpha] = coeffs.get(alpha, 0) + c * v
-        F = SymForm.from_coeffs(n, d, coeffs)
+                for k, v in b:
+                    acc[k] += c * v
+        F = SymForm(n, d, tuple((a, Fraction(v, den)) for a, v in zip(monos, acc) if v))
         if F.is_zero or not is_nondegenerate(F):
             continue
         if symmetry_violation(F, spec.nilpotent) is not None:

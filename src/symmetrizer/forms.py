@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm, log10
+from math import comb, factorial, gcd, lcm, log10
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -202,8 +202,9 @@ class SymForm:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         merged: dict[Exponents, Fraction] = {}
         for alpha, c in items:
-            alpha = tuple(int(e) for e in alpha)
-            merged[alpha] = merged.get(alpha, Fraction(0)) + Fraction(c)
+            alpha = tuple(map(int, alpha))
+            c = c if type(c) is Fraction else Fraction(c)
+            merged[alpha] = merged[alpha] + c if alpha in merged else c
         order = monomial_index(nvars, degree)
         unknown = [a for a in merged if a not in order]
         if unknown:
@@ -227,13 +228,23 @@ class SymForm:
     def hessian_slices(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
         """(den, slices) with slices[b][k][j] / den = F(e_k, e_j, e^beta)
         for the b-th degree-(d-2) monomial beta in canonical order. Each
-        slice is a symmetric n×n integer matrix."""
+        slice is a symmetric n×n integer matrix.
+
+        F(e^alpha) = c·alpha!/d!, so over D = L·d!, L the lcm of the
+        coefficient denominators, every value is the integer N = c·L·alpha!.
+        Dividing D and every N by their gcd g leaves den = D/g, which is the
+        lcm of the values' reduced denominators D/gcd(D, N), with no
+        Fraction built."""
         n, d = self.nvars, self.degree
         index = monomial_index(n, d - 2)
-        values = [(a, c * Fraction(alpha_factorial(a), factorial(d))) for a, c in self.terms]
-        den = lcm(*(v.denominator for _, v in values))
+        lc = lcm(*(c.denominator for _, c in self.terms))
+        nums = [c.numerator * (lc // c.denominator) * alpha_factorial(a) for a, c in self.terms]
+        D = lc * factorial(d)
+        g = gcd(D, *nums)
+        den = D // g
         slices = [[[0] * n for _ in range(n)] for _ in index]
-        for alpha, v in values:
+        for (alpha, _), v in zip(self.terms, nums):
+            v //= g
             support = [i for i, e in enumerate(alpha) if e]
             for k in support:
                 for j in support:
@@ -241,7 +252,7 @@ class SymForm:
                     beta[k] -= 1
                     beta[j] -= 1
                     if beta[j] >= 0:  # k == j needs alpha[k] >= 2
-                        slices[index[tuple(beta)]][k][j] = v.numerator * (den // v.denominator)
+                        slices[index[tuple(beta)]][k][j] = v
         return den, tuple(tuple(map(tuple, s)) for s in slices)
 
     @cached_property

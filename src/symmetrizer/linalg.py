@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -105,7 +105,9 @@ class Matrix:
         return Matrix(ints, den, ncols)
 
     @staticmethod
+    @cache
     def identity(n: int) -> "Matrix":
+        """The n×n identity, built once per n: a Matrix is immutable."""
         return Matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @staticmethod

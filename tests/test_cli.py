@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,35 @@ class TestGenerate:
         )
         assert code == 2
         assert "bad matrix entry" in err
+
+    @pytest.mark.parametrize("entry, reason", [
+        ("1e9", "'1e9': expected p or p/q"),
+        ("1.5", "'1.5': expected p or p/q"),
+        ("1e1000000000", "'1e1000000000': expected p or p/q"),
+        ("1/0", "'1/0': zero denominator"),
+        ("9" * 5000, "of 5000 characters: too long"),
+    ], ids=["exponent", "decimal-point", "huge-exponent", "zero-denominator", "5000-digits"])
+    def test_entry_outside_the_rational_grammar_exits_2_at_once(
+        self, capsys, tmp_path, entry, reason
+    ):
+        # the time bound catches a number built from the entry before it
+        # is checked: Fraction("1e1000000000") runs for hours
+        matrix = f"0,0;{entry},0"
+        census_line = json.dumps(
+            {"kind": "prescribed_nilpotent", "nvars": 2, "degree": 3, "matrix": matrix}
+        )
+        path = tmp_path / "specs.jsonl"
+        path.write_text(census_line + "\n")
+        for argv in (
+            ["generate", "prescribed_nilpotent", "--nvars", "2", "--degree", "3",
+             "--matrix", matrix],
+            ["census", str(path)],
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert f"bad matrix entry {reason}" in err
 
 
 class TestCensus:

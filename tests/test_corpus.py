@@ -11,6 +11,7 @@ from conftest import H_REGULAR_3, H_SQUARE_ZERO_3
 from symmetrizer.algebra import symmetrizer_algebra
 from symmetrizer.corpus import (
     KINDS,
+    RETRY_CAP,
     GeneratorError,
     GeneratorSpec,
     census,
@@ -196,6 +197,121 @@ class TestFormSpaceMatchesOracle:
     @settings(deadline=None, max_examples=40)
     def test_random_nilpotent(self, h, degree):
         assert nilpotent_form_space(h, degree) == oracle_nilpotent_form_space(h, degree)
+
+
+# ---------------------------------------------------------------------------
+# generate as it was built: cones and direct sums by compose_linear with
+# rows of the identity, summed by SymForm.__add__, and each prescribed draw
+# merged in Fractions by from_coeffs
+
+
+def oracle_random_form(nvars: int, degree: int, seed: int, bound: int) -> SymForm:
+    rng = SplitMix64(seed)
+    coeffs = {}
+    for alpha in enumerate_monomials(nvars, degree):
+        c = rng.int_in(-bound, bound)
+        if c:
+            coeffs[alpha] = c
+    return SymForm.from_coeffs(nvars, degree, coeffs)
+
+
+def oracle_fermat(nvars: int, degree: int) -> SymForm:
+    powers = {tuple(degree if j == i else 0 for j in range(nvars)): 1 for i in range(nvars)}
+    return SymForm.from_coeffs(nvars, degree, powers)
+
+
+def oracle_generate(spec: GeneratorSpec) -> SymForm:
+    n, d = spec.nvars, spec.degree
+    if spec.kind == "fermat":
+        return oracle_fermat(n, d)
+    if spec.kind == "cone":
+        rows = Matrix.identity(n).rows[:-1]
+        return compose_linear(oracle_fermat(n - 1, d), Matrix.from_rows(rows, n))
+    if spec.kind == "random":
+        return oracle_random_form(n, d, spec.seed, spec.coefficient_bound)
+    if spec.kind == "st_sum":
+        stream = SplitMix64(spec.seed)
+        total = SymForm.zero(n, d)
+        off = 0
+        for size in spec.blocks:
+            for _ in range(RETRY_CAP):
+                sub = oracle_random_form(size, d, stream.next_u64(), spec.coefficient_bound)
+                if is_nondegenerate(sub):
+                    break
+            else:
+                raise GeneratorError(
+                    f"no nondegenerate block of size {size} within {RETRY_CAP} draws"
+                )
+            rows = Matrix.identity(n).rows[off : off + size]
+            total = total + compose_linear(sub, Matrix.from_rows(rows, n))
+            off += size
+        return total
+    space = nilpotent_form_space(spec.nilpotent, d)
+    if not space:
+        raise GeneratorError("only the zero form admits this symmetrizer")
+    rng = SplitMix64(spec.seed)
+    for _ in range(RETRY_CAP):
+        coeffs = {}
+        for b in space:
+            c = rng.int_in(-spec.coefficient_bound, spec.coefficient_bound)
+            if c:
+                for alpha, v in b.terms:
+                    coeffs[alpha] = coeffs.get(alpha, 0) + c * v
+        F = SymForm.from_coeffs(n, d, coeffs)
+        if not F.is_zero and is_nondegenerate(F):
+            return F
+    raise GeneratorError(
+        f"no nondegenerate form with the prescribed symmetrizer in {RETRY_CAP} draws"
+    )
+
+
+def generated(make, spec):
+    try:
+        return ("ok", make(spec))
+    except GeneratorError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def generator_specs(draw):
+    """Every kind at n 2-5 and d 3-4 (prescribed: n 2-4, fractional
+    nilpotents), any seed, small and large coefficient bounds."""
+    kind = draw(st.sampled_from(KINDS))
+    fields = {"seed": draw(st.integers(0, 2**64 - 1)),
+              "coefficient_bound": draw(st.sampled_from([1, 2, 10, 10**6]))}
+    if kind == "prescribed_nilpotent":
+        h = draw(nilpotent_matrices())
+        n, fields["nilpotent"] = h.nrows, h
+    else:
+        n = draw(st.integers(2, 5))
+    if kind == "st_sum":
+        cuts = draw(st.sets(st.integers(1, n - 1)))
+        ends = [0, *sorted(cuts), n]
+        fields["blocks"] = tuple(b - a for a, b in zip(ends, ends[1:]))
+    return GeneratorSpec(kind, n, draw(st.sampled_from([3, 4])), **fields)
+
+
+class TestGeneratorMatchesOracle:
+    """generate pads exponent vectors and combines the prescribed basis as
+    integers over one denominator; the result equals the oracle's form,
+    term for term, and so do its errors."""
+
+    @given(generator_specs())
+    @settings(deadline=None, max_examples=80)
+    def test_form_for_form(self, spec):
+        assert generated(generate, spec) == generated(oracle_generate, spec)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fractional_chain_and_wide_blocks(self, seed):
+        h = Matrix.from_rows([[0, 0, 0, 0], [Fraction(2, 3), 0, 0, 0],
+                              [0, Fraction(-5, 7), 0, 0], [0, 0, 0, 0]])
+        for spec in (
+            GeneratorSpec("prescribed_nilpotent", 4, 3, seed=seed, nilpotent=h),
+            GeneratorSpec("prescribed_nilpotent", 4, 4, seed=seed, nilpotent=h),
+            GeneratorSpec("st_sum", 6, 3, seed=seed, blocks=(1, 3, 2)),
+            GeneratorSpec("cone", 6, 4, seed=seed),
+        ):
+            assert generated(generate, spec) == generated(oracle_generate, spec)
 
 
 class TestSpecValidation:

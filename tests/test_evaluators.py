@@ -17,7 +17,7 @@ booleans, the same matrix, the same form, the same report.
 import dataclasses
 
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -54,6 +54,7 @@ from symmetrizer.forms import (
     jacobian_kernel,
     jacobian_matrix,
     monomial_count,
+    monomial_index,
     monomial_slots,
     pairings_vanish,
     symmetry_violation,
@@ -186,6 +187,26 @@ def oracle_twist(F: SymForm, g: Matrix, check: bool = True) -> SymForm:
     return SymForm.from_coeffs(n, d, out)
 
 
+def oracle_hessian_slices(F: SymForm):
+    """The Fraction table: each value c·alpha!/d! as a Fraction, and den
+    the lcm of their reduced denominators."""
+    n, d = F.nvars, F.degree
+    index = monomial_index(n, d - 2)
+    values = [(a, c * Q(alpha_factorial(a), factorial(d))) for a, c in F.terms]
+    den = lcm(*(v.denominator for _, v in values))
+    slices = [[[0] * n for _ in range(n)] for _ in index]
+    for alpha, v in values:
+        support = [i for i, e in enumerate(alpha) if e]
+        for k in support:
+            for j in support:
+                beta = list(alpha)
+                beta[k] -= 1
+                beta[j] -= 1
+                if beta[j] >= 0:
+                    slices[index[tuple(beta)]][k][j] = v.numerator * (den // v.denominator)
+    return den, tuple(tuple(map(tuple, s)) for s in slices)
+
+
 def oracle_fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceReport:
     """Two full symmetrizer algebras per call, as before `algebra=`."""
     witness = oracle_symmetry_violation(F, g)
@@ -267,6 +288,9 @@ def oracle_algebra_closure_check(A) -> ClosureReport:
 # denominators, so that their symmetrizers carry large denominators too.
 
 DENOMINATORS = [1, 1, 2, 3, 7, 97, 65537, 1000003, 2**31 - 1, 2**61 - 1]
+# pairwise coprime, each past 2^29: primes, a prime power and a product of
+# two primes
+LARGE_COPRIME_DENOMINATORS = [1000003, 2**31 - 1, 2**61 - 1, 11**30, 13 * (10**9 + 7)]
 rationals = st.one_of(
     st.just(Q(0)),
     st.builds(Q, st.integers(-50, 50), st.sampled_from(DENOMINATORS)),
@@ -352,6 +376,7 @@ class TestTable:
     @given(forms())
     @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_slices_are_the_polarized_values(self, F):
+        assert F.hessian_slices == oracle_hessian_slices(F)
         den, slices = F.hessian_slices
         betas = enumerate_monomials(F.nvars, F.degree - 2)
         assert len(slices) == len(betas) and den >= 1
@@ -367,6 +392,44 @@ class TestTable:
     def test_jacobian_matches_contractions(self, F):
         assert jacobian_matrix(F) == oracle_jacobian_matrix(F)
         assert jacobian_matrix(F) is jacobian_matrix(F)
+
+    @given(st.data())
+    @settings(REPORT_AS_DRAWN, max_examples=80)
+    def test_integer_table_with_large_coprime_denominators(self, data):
+        # denominators that share no factor, and some that share factors
+        # with d!, so that both den and the final gcd are exercised
+        n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 7))
+        monos = data.draw(st.lists(
+            st.sampled_from(enumerate_monomials(n, d)), min_size=1, max_size=8, unique=True
+        ))
+        dens = st.sampled_from(LARGE_COPRIME_DENOMINATORS + [1, 2, 4, 6, 9, 5040])
+        nums = st.integers(-(10**30), 10**30).filter(bool)
+        F = SymForm.from_coeffs(n, d, [(a, Q(data.draw(nums), data.draw(dens))) for a in monos])
+        assert F.hessian_slices == oracle_hessian_slices(F)
+
+    def test_table_builds_no_fraction(self, monkeypatch):
+        built = [
+            parse_poly("1/3*x0^3 - 7/10*x0*x1*x2 + 5/4*x2^3"),
+            generate(GeneratorSpec(kind="random", nvars=5, degree=4, seed=1)),
+            generate(GeneratorSpec(kind="fermat", nvars=4, degree=3)),
+            SymForm.from_coeffs(2, 5, {(3, 2): Q(1, 2**61 - 1), (0, 5): Q(-3, 1000003)}),
+            SymForm.zero(3, 3),
+        ]
+        calls = []
+        new = Q.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+        Q(1, 2)
+        assert len(calls) == 1  # the wrapper sees a construction
+        calls.clear()
+        tables = [F.hessian_slices for F in built]  # cached: the first access builds
+        assert calls == []
+        monkeypatch.undo()
+        assert tables == [oracle_hessian_slices(F) for F in built]
 
     def test_zero_form(self):
         Z = SymForm.zero(3, 3)

@@ -1,9 +1,9 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
 exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
-certificate fails, no small command line ends outside the documented
-exit codes, and a fixed set of command lines prints exactly the
-recorded golden outputs."""
+certificate fails, the generator composes no forms, no small command
+line ends outside the documented exit codes, and a fixed set of command
+lines prints exactly the recorded golden outputs."""
 
 import contextlib
 import dataclasses
@@ -148,6 +148,36 @@ def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
     fiber_reports(random_form, A)
 
 
+def test_generate_composes_no_forms(monkeypatch):
+    """generate builds cones and direct sums by padding exponent vectors:
+    no compose_linear (wherever a module holds it) and no SymForm sum, for
+    every kind, integer and fractional nilpotents included. st_decompose,
+    which restricts a form to its blocks, still counts."""
+    counts = Counter()
+    for module in (forms, corpus, algebra):
+        if hasattr(module, "compose_linear"):
+            monkeypatch.setattr(
+                module, "compose_linear", counting(counts, "compose", forms.compose_linear)
+            )
+    monkeypatch.setattr(forms.SymForm, "__add__", counting(counts, "add", forms.SymForm.__add__))
+    h = "0,0,0,0;1/2,0,0,0;0,-3,0,0;0,0,0,0"
+    specs = [
+        {"kind": kind, "nvars": n, "degree": d, "seed": seed}
+        | ({"blocks": [1, 2, n - 3]} if kind == "st_sum" else {})
+        | ({"matrix": h} if kind == "prescribed_nilpotent" else {})
+        for kind in corpus.KINDS
+        for n, d in ((4, 3), (4, 4))
+        for seed in (1, 2)
+    ]
+    code, out, _ = invoke(["census", "-"], "".join(json.dumps(s) + "\n" for s in specs))
+    assert code == 0 and len(out.splitlines()) == len(specs)
+    code, st_sum, _ = invoke(["generate", "st_sum", "--nvars", "5", "--degree", "3",
+                              "--blocks", "2,3", "--seed", "1"])
+    assert code == 0 and counts == Counter()
+    algebra.st_decompose(polytext.parse_poly(st_sum))
+    assert counts["compose"] > 0
+
+
 # ---------------------------------------------------------------------------
 # CLI fuzz: variables x0..x2, degree at most 4, one sampled symmetrizer.
 
@@ -201,8 +231,11 @@ def specs(draw):
             [[1, 1], [1, 2], [2, 1], [1, 1, 1], [3], [0, 2], []]
         ))
     if kind == "prescribed_nilpotent" or draw(st.booleans()):
+        # entries outside the p or p/q grammar: an exponent, a decimal point
+        # and a zero denominator
         spec["matrix"] = draw(st.sampled_from(
-            ["0,0;1,0", "0,0,0;1,0,0;0,0,0", "0,0,0;1,0,0;0,1,0", "1,0;0,1", "0,x;1,0", "0"]
+            ["0,0;1,0", "0,0,0;1,0,0;0,0,0", "0,0,0;1,0,0;0,1,0", "1,0;0,1", "0,x;1,0", "0",
+             "0,0;1e9,0", "0,0;1.5,0", "0,0;1/0,0"]
         ))
     return spec
 
