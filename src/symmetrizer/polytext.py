@@ -1,11 +1,17 @@
 """Textual polynomial format.
 
-Grammar (whitespace ignored everywhere):
+Grammar (whitespace ignored everywhere; integers, indices and exponents
+are ASCII digits):
 
     poly     := term (('+' | '-') term)*
     term     := [rational '*'] factor ('*' factor)*
     factor   := 'x' index ['^' exponent]
     rational := integer ['/' positive-integer]
+
+The text is scanned once into a token list, in time linear in its
+length. Errors come in left-to-right order: a character no token
+matches, or a number past the interpreter's digit limit, is reported
+only when the grammar reaches it.
 
 The canonical printer emits terms in descending lexicographic monomial
 order, magnitudes after the first term (signs become separators), '*'
@@ -20,9 +26,12 @@ from fractions import Fraction
 
 from .forms import SymForm, check_size
 
+# Every match succeeds: `end` takes trailing whitespace and `bad` the
+# first character no token starts with.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<var>x(?P<index>\d+))|(?P<sign>[+-])"
-    r"|(?P<star>\*)|(?P<caret>\^)|(?P<slash>/))"
+    r"\s*(?:(?P<number>[0-9]+)|(?P<var>x(?P<index>[0-9]+))|(?P<sign>[+-])"
+    r"|(?P<star>\*)|(?P<caret>\^)|(?P<slash>/)|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
 
 
@@ -42,36 +51,54 @@ def _integer(digits: str, position: int) -> int:
 
 
 class _Tokens:
+    """The (kind, value, position) tokens of a text, scanned once.
+
+    A character that no token matches, or a number past the digit limit,
+    ends the list with its ParseError. `peek` raises it only when the
+    parser reaches it, so a grammar error to its left is reported first.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens: list[tuple[str, str | int, int]] = []
+        self.error: ParseError | None = None
+        self.i = 0
+        try:
+            self._scan()
+        except ParseError as exc:
+            self.error = exc
+
+    def _scan(self) -> None:
+        text, pos = self.text, 0
+        while True:
+            m = _TOKEN.match(text, pos)
+            kind = m.lastgroup
+            if kind == "end":
+                return
+            start = m.start(kind)
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text[start]!r}", start)
+            if kind == "number":
+                value = _integer(m.group(kind), start)
+            elif kind == "var":
+                value = _integer(m.group("index"), start)
+            else:
+                value = m.group(kind)
+            self.tokens.append((kind, value, start))
+            pos = m.end()
 
     def peek(self) -> tuple[str, str | int, int] | None:
-        """(kind, value, position) of the next token without consuming."""
-        rest = self.text[self.pos :]
-        if not rest.strip():
-            return None
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None or m.end() == m.start():
-            bad = self.pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {self.text[bad]!r}", bad)
-        if m.group("number"):
-            return ("number", _integer(m.group("number"), m.start("number")), m.start("number"))
-        if m.group("var"):
-            return ("var", _integer(m.group("index"), m.start("var")), m.start("var"))
-        if m.group("sign"):
-            return ("sign", m.group("sign"), m.start("sign"))
-        if m.group("star"):
-            return ("star", "*", m.start("star"))
-        if m.group("caret"):
-            return ("caret", "^", m.start("caret"))
-        return ("slash", "/", m.start("slash"))
+        """The next token without consuming it; None at the end."""
+        if self.i < len(self.tokens):
+            return self.tokens[self.i]
+        if self.error is not None:
+            raise self.error
+        return None
 
     def next(self) -> tuple[str, str | int, int] | None:
         tok = self.peek()
         if tok is not None:
-            m = _TOKEN.match(self.text, self.pos)
-            self.pos = m.end()
+            self.i += 1
         return tok
 
     def expect(self, kind: str, what: str) -> tuple[str, str | int, int]:

@@ -6,21 +6,24 @@ below rebuilds the symmetrizer conditions from raw coefficients with no
 multiset dedup and every slot transposition imposed, so it shares no
 assembly code with the production path. `coefficient`, `slot_value` and
 `polynomial_value` read a form straight off its terms; no command needs
-them, so they live here rather than on `SymForm`.
+them, so they live here rather than on `SymForm`. `oracle_parse_poly` is
+the peek-based parser that rescans the rest of the text on every token:
+the reference for the one-pass tokenizer in `polytext`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from symmetrizer.corpus import GeneratorSpec, generate
-from symmetrizer.forms import SymForm
+from symmetrizer.forms import SymForm, check_size
 from symmetrizer.linalg import Matrix, Vec, nullspace, rref
-from symmetrizer.polytext import parse_poly
+from symmetrizer.polytext import ParseError, parse_poly
 
 # square-zero map e0 -> e1 on three variables
 H_SQUARE_ZERO_3 = Matrix.from_rows(
@@ -142,3 +145,130 @@ def same_span(a: list[Matrix], b: list[Matrix], n: int) -> bool:
 
 def flats(mats) -> list[Vec]:
     return [g.flatten() for g in mats]
+
+
+_ORACLE_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[0-9]+)|(?P<var>x(?P<index>[0-9]+))|(?P<sign>[+-])"
+    r"|(?P<star>\*)|(?P<caret>\^)|(?P<slash>/))"
+)
+
+
+def _oracle_integer(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long", position) from None
+
+
+class _OracleTokens:
+    """Matches the next token afresh on every peek."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        rest = self.text[self.pos :]
+        if not rest.strip():
+            return None
+        m = _ORACLE_TOKEN.match(self.text, self.pos)
+        if m is None or m.end() == m.start():
+            bad = self.pos + len(rest) - len(rest.lstrip())
+            raise ParseError(f"unexpected character {self.text[bad]!r}", bad)
+        if m.group("number"):
+            return ("number", _oracle_integer(m.group("number"), m.start("number")),
+                    m.start("number"))
+        if m.group("var"):
+            return ("var", _oracle_integer(m.group("index"), m.start("var")), m.start("var"))
+        if m.group("sign"):
+            return ("sign", m.group("sign"), m.start("sign"))
+        if m.group("star"):
+            return ("star", "*", m.start("star"))
+        if m.group("caret"):
+            return ("caret", "^", m.start("caret"))
+        return ("slash", "/", m.start("slash"))
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.pos = _ORACLE_TOKEN.match(self.text, self.pos).end()
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.next()
+        if tok is None:
+            raise ParseError(f"expected {what}, found end of input", len(self.text))
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2])
+        return tok
+
+
+def _oracle_term(toks: _OracleTokens, sign: int):
+    tok = toks.peek()
+    pos = tok[2] if tok else len(toks.text)
+    coeff = Fraction(sign)
+    if tok is not None and tok[0] == "number":
+        toks.next()
+        num, den = tok[1], 1
+        nxt = toks.peek()
+        if nxt is not None and nxt[0] == "slash":
+            toks.next()
+            dtok = toks.expect("number", "a positive denominator")
+            den = dtok[1]
+            if den == 0:
+                raise ParseError("zero denominator", dtok[2])
+        coeff *= Fraction(num, den)
+        toks.expect("star", "'*' between coefficient and variables")
+    exponents: dict[int, int] = {}
+    while True:
+        idx = toks.expect("var", "a variable like x0")[1]
+        exp = 1
+        nxt = toks.peek()
+        if nxt is not None and nxt[0] == "caret":
+            toks.next()
+            exp = toks.expect("number", "an exponent")[1]
+        exponents[idx] = exponents.get(idx, 0) + exp
+        nxt = toks.peek()
+        if nxt is None or nxt[0] != "star":
+            return exponents, coeff, pos
+        toks.next()
+
+
+def oracle_parse_poly(text: str, nvars: int | None = None) -> SymForm:
+    """`polytext.parse_poly` on the peek-based tokenizer, which takes time
+    quadratic in the text."""
+    toks = _OracleTokens(text)
+    if toks.peek() is None:
+        raise ParseError("empty input", 0)
+    terms = []
+    while toks.peek() is not None:
+        sign = 1
+        tok = toks.peek()
+        if tok[0] == "sign":
+            toks.next()
+            sign = 1 if tok[1] == "+" else -1
+        elif terms:
+            raise ParseError("expected '+' or '-' between terms", tok[2])
+        terms.append(_oracle_term(toks, sign))
+    degree = sum(terms[0][0].values())
+    max_index = -1
+    for exps, _, pos in terms:
+        if sum(exps.values()) != degree:
+            raise ParseError(
+                f"term of degree {sum(exps.values())} in a degree-{degree} polynomial", pos
+            )
+        max_index = max(max_index, max(exps))
+    if degree < 3:
+        raise ParseError(f"degree {degree} is below 3", terms[0][2])
+    if nvars is None:
+        nvars = max_index + 1
+    elif nvars <= max_index:
+        for exps, _, pos in terms:
+            if max(exps) >= nvars:
+                raise ParseError(f"variable x{max(exps)} exceeds the declared count {nvars}", pos)
+    check_size(nvars, degree)
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for exps, c, _ in terms:
+        alpha = tuple(exps.get(i, 0) for i in range(nvars))
+        coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + c
+    return SymForm.from_coeffs(nvars, degree, coeffs)

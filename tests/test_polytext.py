@@ -1,13 +1,15 @@
-"""Polynomial text round trip: grammar, errors, canonical printing."""
+"""Polynomial text round trip: grammar, errors, canonical printing, and
+the one-pass tokenizer against the peek-based oracle."""
 
+import time
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficient
-from symmetrizer.forms import SymForm, enumerate_monomials
+from conftest import coefficient, oracle_parse_poly
+from symmetrizer.forms import SizeLimitError, SymForm, enumerate_monomials
 from symmetrizer.polytext import ParseError, format_poly, parse_poly
 
 
@@ -58,6 +60,11 @@ BAD_INPUTS = [
     ("x0*x1", "degree 2 is below 3", 0),
     ("5", "'\\*' between coefficient", 1),
     ("x0^3 + + x1^3", "a variable like x0", 7),
+    # a grammar error left of a bad character is reported first
+    ("x0^3 x1^3 $", "'\\+' or '-' between terms", 5),
+    # digits are ASCII only
+    ("x0^3 + \u0661*x1^3", "unexpected character '\u0661'", 7),
+    ("x\uff10^3", "unexpected character 'x'", 0),
 ]
 
 
@@ -71,6 +78,41 @@ class TestParseErrors:
     def test_override_below_used_index(self):
         with pytest.raises(ParseError, match="x2 exceeds the declared count 2"):
             parse_poly("x0^3 + x2^3", nvars=2)
+
+
+def outcome(parse, text):
+    """The form parsed, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except (ParseError, SizeLimitError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# characters, whole terms, a non-ASCII digit and digit runs past the
+# interpreter's limit of 4300 digits per int
+TOKEN_SOUP = st.lists(
+    st.one_of(
+        st.text(alphabet="x0123 +-*^/$\t", max_size=6),
+        st.sampled_from(["x0", "x1^3", "x2", "2/3*", "*", " + ", " - ", "^3", "\u0661"]),
+        st.integers(4301, 4400).map(lambda k: "1" * k),
+    ),
+    max_size=10,
+).map("".join)
+
+
+class TestOnePass:
+    def test_time_is_linear_in_the_text(self):
+        text = " + ".join(["x0^2*x1"] * 32000)  # about 320 KB
+        start = time.perf_counter()
+        F = parse_poly(text)
+        elapsed = time.perf_counter() - start
+        assert F.coeff_map == {(2, 1): Q(32000)}
+        assert elapsed < 3.0, f"{len(text)} characters parsed in {elapsed:.2f} s"
+
+    @given(TOKEN_SOUP)
+    @settings(deadline=None, max_examples=400)
+    def test_agrees_with_the_peek_based_oracle(self, text):
+        assert outcome(parse_poly, text) == outcome(oracle_parse_poly, text)
 
 
 class TestFormatting:

@@ -36,10 +36,13 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # three seeds between two seeds of another, and `analyze` of the random
 # cubic in 8 variables at seed 1 and of a random cubic in 4 variables
 # read as a cone in 5, whose fiber checks take the pencil of F^g and the
-# n²-wide rows respectively). A change
-# that keeps every output must keep these bytes. After an intended output
-# change, rewrite the expectations with `PYTHONPATH=src python
-# tests/test_tooling.py` and review the diff.
+# n²-wide rows respectively; and parser cases: two recover pairs with
+# fractional coefficients and irregular whitespace, an analyze whose
+# repeated monomials merge and cancel, a grammar error left of a bad
+# character, a zero denominator, a 5000-digit coefficient and a
+# non-ASCII digit). A change that keeps every output must keep these
+# bytes. After an intended output change, rewrite the expectations with
+# `PYTHONPATH=src python tests/test_tooling.py` and review the diff.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
 
@@ -202,7 +205,7 @@ def poly_texts(draw):
     if draw(st.integers(0, 9)) == 0:
         return draw(over_limit_poly_texts())
     if draw(st.integers(0, 4)) == 0:
-        return draw(st.text(alphabet="x012^*+-/ 34", max_size=12))
+        return draw(st.text(alphabet="x012^*+-/ 34$\u0661", max_size=12))
     degree = draw(st.sampled_from([3, 3, 4, 4, 2, 0]))
     terms = []
     for _ in range(draw(st.integers(1, 3))):
