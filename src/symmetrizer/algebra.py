@@ -70,6 +70,7 @@ from .forms import (
     jacobian_kernel,
     jacobian_matrix,
     pairings_vanish,
+    pivot_columns,
     symmetry_violation,
     twist,
     vanishing_order,
@@ -661,22 +662,33 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
 
 def recover_symmetrizer(F: SymForm, Ft: SymForm) -> Matrix:
     """The unique g with twist(F, g) = Ft, for forms sharing a Jacobian
-    image. Column j of g solves J_F^T x = (row j of J_Ft): it rewrites
-    each partial of Ft over the partials of F. All n systems share one
-    reduction of [J_F^T | J_Ft^T]."""
+    image.
+
+    J_F has rank n, so each row of J_Ft is one combination of the rows
+    of J_F: J_Ft = g^T·J_F, and column j of g rewrites the j-th partial
+    of Ft over the partials of F. On the pivot columns p of J_F's rref
+    the n×n block J_F[:, p] is invertible, so g^T = J_Ft[:, p]·E with
+    E = J_F[:, p]⁻¹, computed once per source form
+    (`SymForm.jacobian_pivot_inverse`). The result is then checked:
+    invertible, a symmetrizer of F, and g^T·J_F = J_Ft exactly. For a
+    symmetrizer g that last equation is F^g = Ft: row i of J(F^g) is
+    F(g·e_i, ., ..., .) = sum_k g[k][i]·F(e_k, ., ..., .), so
+    J(F^g) = g^T·J_F, and by Euler's identity, P(x) = sum_i x_i·(row i
+    of J)(x), a form is determined by its Jacobian."""
     if (F.nvars, F.degree) != (Ft.nvars, Ft.degree):
         raise FiberMismatchError("forms live in different spaces")
     if grassmann_point(F) != grassmann_point(Ft):
         raise FiberMismatchError("forms have different Jacobian images")
-    g = solve_matrix(jacobian_matrix(F).transpose(), jacobian_matrix(Ft).transpose())
-    if g is None:
-        raise InvariantError("equal Jacobian images but unsolvable transport")
+    pivots, E = F.jacobian_pivot_inverse
+    J, Jt = jacobian_matrix(F), jacobian_matrix(Ft)
+    gT = pivot_columns(Jt, pivots) * E
+    g = gT.transpose()
     if not is_invertible(g):
         raise InvariantError("fiber transport is singular")
     witness = symmetry_violation(F, g)
     if witness is not None:
         raise InvariantError("fiber transport is not a symmetrizer")
-    if twist(F, g, check=False) != Ft:
+    if gT * J != Jt:
         raise InvariantError("fiber transport fails to reproduce the target")
     return g
 

@@ -141,8 +141,8 @@ def _parse_matrix_arg(text: str, n: int) -> Matrix:
 
 
 def _emit(obj: Any) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write per report: json.dump would issue one per encoder chunk
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -11,6 +11,15 @@ monomial beta, as integers over a common denominator. g is in g_F iff
 every g^T H_beta is symmetric, the constraint rows of g_F are the table's
 entries, and a pairing F(u, w, e^beta) is u^T H_beta w.
 
+The symmetrizer test reads the same table with the slices side by side:
+row k of `hessian_rows` is K[k][b·n + j] = H_b[k][j], b the index of
+beta in canonical order. Then row_i = sum_k g[k][i]·K[k] holds
+(g^T H_b)[i][j] at b·n + j, so g symmetrizes F iff row_i[j::n] =
+row_j[i::n] for every i < j: one integer combination of table rows per
+column of g, skipping its zero entries, and n(n-1)/2 slice comparisons.
+The witness is the first mismatch in the order pairs (i, j) first, then
+monomials beta.
+
 The table answers Ker(∂F) too. Row i of the table, (H_beta[i][j]) over
 all beta and j, holds F(e_i, e^gamma) with gamma = beta + e_j: row i of
 the Jacobian with each column scaled by the positive factor
@@ -18,8 +27,9 @@ gamma!/(d-1)! and some columns repeated. So its left kernel is Ker(∂F);
 rank n mod P proves that zero, and otherwise the exact null space of
 the table's transpose is the one of J^T, since both transposes have the
 row space Ker(∂F)^⊥ and the rref depends only on the row space. The
-Jacobian matrix and its reduced echelon form, cached on the form, serve
-only the Grassmann point and transport.
+Jacobian matrix, its reduced echelon form and the inverse of its block
+on the pivot columns, cached on the form, serve only the Grassmann
+point and transport.
 
 The domain's constraints are not enforced here, since contraction and
 Jacobian rows naturally produce lower-degree forms: a SymForm needs only
@@ -35,8 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb, factorial, gcd, lcm, log10
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -282,6 +293,27 @@ class SymForm:
         """rref of the Jacobian matrix: (reduced matrix, pivots, rank)."""
         return rref(self.jacobian)
 
+    @cached_property
+    def jacobian_pivot_inverse(self) -> tuple[tuple[int, ...], Matrix]:
+        """(p, E): the pivot columns p of `jacobian_rref` and the inverse E
+        of the Jacobian's n×n block on them. The pivot columns of a matrix
+        are independent, so the block is invertible exactly when the rank
+        is n: a form whose Jacobian has smaller rank is refused."""
+        _, pivots, rank = self.jacobian_rref
+        if rank != self.nvars:
+            raise ValueError("a degenerate form has no invertible pivot block")
+        return pivots, pivot_columns(self.jacobian, pivots).inverse()
+
+    @cached_property
+    def hessian_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row k of every Hessian slice side by side: entry b·n + j of row
+        k is H_b[k][j] (over the slices' denominator), b the index of
+        beta in canonical order. The symmetrizer test combines these."""
+        slices = self.hessian_slices[1]
+        return tuple(
+            tuple(chain.from_iterable(H[k] for H in slices)) for k in range(self.nvars)
+        )
+
     def coeff_vector(self) -> Vec:
         """Coefficients in the canonical monomial order, dense."""
         cm = self.coeff_map
@@ -398,6 +430,11 @@ def is_nondegenerate(F: SymForm) -> bool:
     return not F.jacobian_kernel
 
 
+def pivot_columns(M: Matrix, columns: Sequence[int]) -> Matrix:
+    """The columns of M at these indices, in this order."""
+    return Matrix(tuple(tuple(r[c] for c in columns) for r in M.ints), M.den, len(columns))
+
+
 def grassmann_point(F: SymForm) -> GrassmannPoint:
     """The point J(F): the span of the partial derivatives, canonically.
 
@@ -418,20 +455,33 @@ def symmetry_violation(
     """Search for a witness that g fails to symmetrize F.
 
     F(g·e_i, e_j, e^beta) = (g^T H_beta)[i][j], so g symmetrizes F iff
-    every g^T H_beta is symmetric, which g's integer rows decide. Pairs
-    i < j are scanned before monomials beta. Symmetry of F in its last
-    d-1 slots makes this single swap equivalent to full slot-symmetry of
-    the twist.
+    every g^T H_beta is symmetric, which g's integer columns decide:
+    row_i = sum_k g[k][i]·K[k] over the nonzero entries of column i,
+    with K the slices side by side (`SymForm.hessian_rows`), holds
+    (g^T H_b)[i][j] at b·n + j, and symmetry is row_i[j::n] = row_j[i::n]
+    for every i < j. The witness is the first pair i < j whose slices
+    differ, at the first monomial beta where they do. Symmetry of F in
+    its last d-1 slots makes this single swap equivalent to full
+    slot-symmetry of the twist.
     """
     _require_endomorphism(F, g)
-    n, d = F.nvars, F.degree
-    cols = list(zip(*g.ints))
-    slices = F.hessian_slices[1]
+    n = F.nvars
+    K = F.hessian_rows
+    rows = []
+    for col in zip(*g.ints):
+        row = None
+        for c, Kk in zip(col, K):
+            if c:
+                scaled = Kk if c == 1 else tuple(map(c.__mul__, Kk))
+                row = scaled if row is None else tuple(map(add, row, scaled))
+        rows.append((0,) * len(K[0]) if row is None else row)
     for i in range(n):
         for j in range(i + 1, n):
-            for beta, H in zip(enumerate_monomials(n, d - 2), slices):
-                if sum(map(mul, cols[i], H[j])) != sum(map(mul, cols[j], H[i])):
-                    return (0, 1), (i, j) + monomial_slots(beta)
+            mine, theirs = rows[i][j::n], rows[j][i::n]
+            if mine != theirs:
+                b = next(b for b, (x, y) in enumerate(zip(mine, theirs)) if x != y)
+                beta = enumerate_monomials(n, F.degree - 2)[b]
+                return (0, 1), (i, j) + monomial_slots(beta)
     return None
 
 

@@ -9,6 +9,10 @@ assembly code with the production path. `coefficient`, `slot_value` and
 them, so they live here rather than on `SymForm`. `oracle_parse_poly` is
 the peek-based parser that rescans the rest of the text on every token:
 the reference for the one-pass tokenizer in `polytext`.
+`oracle_symmetry_violation` scans every (i < j, beta) of the Hessian
+table, the reference for the row-combination test in `forms`, and
+`oracle_recover` solves [J_F^T | J_Ft^T] and checks the result by a
+second twist, the reference for transport by F's pivot block.
 """
 
 from __future__ import annotations
@@ -17,12 +21,30 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from symmetrizer.algebra import FiberMismatchError
 from symmetrizer.corpus import GeneratorSpec, generate
-from symmetrizer.forms import SymForm, check_size
-from symmetrizer.linalg import Matrix, Vec, nullspace, rref
+from symmetrizer.forms import (
+    SymForm,
+    check_size,
+    enumerate_monomials,
+    grassmann_point,
+    jacobian_matrix,
+    monomial_slots,
+    twist,
+)
+from symmetrizer.linalg import (
+    InvariantError,
+    Matrix,
+    Vec,
+    is_invertible,
+    nullspace,
+    rref,
+    solve_matrix,
+)
 from symmetrizer.polytext import ParseError, parse_poly
 
 # square-zero map e0 -> e1 on three variables
@@ -145,6 +167,42 @@ def same_span(a: list[Matrix], b: list[Matrix], n: int) -> bool:
 
 def flats(mats) -> list[Vec]:
     return [g.flatten() for g in mats]
+
+
+def oracle_symmetry_violation(F: SymForm, g: Matrix):
+    """`forms.symmetry_violation` as a scan of every pair i < j, then
+    every monomial beta: (g^T H_beta)[i][j] against [j][i], one integer
+    dot product each."""
+    if g.nrows != F.nvars or g.ncols != F.nvars:
+        raise ValueError("endomorphism dimension must match the form")
+    n, d = F.nvars, F.degree
+    cols = list(zip(*g.ints))
+    slices = F.hessian_slices[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for beta, H in zip(enumerate_monomials(n, d - 2), slices):
+                if sum(map(mul, cols[i], H[j])) != sum(map(mul, cols[j], H[i])):
+                    return (0, 1), (i, j) + monomial_slots(beta)
+    return None
+
+
+def oracle_recover(F: SymForm, Ft: SymForm) -> Matrix:
+    """`algebra.recover_symmetrizer` by one reduction of the N×2n matrix
+    [J_F^T | J_Ft^T], checked by twisting F."""
+    if (F.nvars, F.degree) != (Ft.nvars, Ft.degree):
+        raise FiberMismatchError("forms live in different spaces")
+    if grassmann_point(F) != grassmann_point(Ft):
+        raise FiberMismatchError("forms have different Jacobian images")
+    g = solve_matrix(jacobian_matrix(F).transpose(), jacobian_matrix(Ft).transpose())
+    if g is None:
+        raise InvariantError("equal Jacobian images but unsolvable transport")
+    if not is_invertible(g):
+        raise InvariantError("fiber transport is singular")
+    if oracle_symmetry_violation(F, g) is not None:
+        raise InvariantError("fiber transport is not a symmetrizer")
+    if twist(F, g, check=False) != Ft:
+        raise InvariantError("fiber transport fails to reproduce the target")
+    return g
 
 
 _ORACLE_TOKEN = re.compile(

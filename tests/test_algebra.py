@@ -12,10 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, same_span
+from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, oracle_recover, same_span
 from test_evaluators import (
     REPORT_AS_DRAWN,
     forms,
+    nonzero_rationals,
     oracle_embed_form,
     oracle_restrict_form,
     unit_triangular_changes,
@@ -36,10 +37,12 @@ from symmetrizer.algebra import (
 )
 from symmetrizer.corpus import GeneratorError, GeneratorSpec, census, generate
 from symmetrizer.forms import (
+    DegenerateFormError,
     NotASymmetrizerError,
     ProjectivePoint,
     SymForm,
     compose_linear,
+    enumerate_monomials,
     is_nondegenerate,
     is_symmetrizer,
     twist,
@@ -582,6 +585,99 @@ class TestRecovery:
             A = symmetrizer_algebra(F)
             for g in sample_invertible_symmetrizers(F, algebra=A, seed=11, count=3):
                 assert recover_symmetrizer(F, twist(F, g)) == g
+
+
+@st.composite
+def transport_cases(draw):
+    """(F, Ft, how): F^g for a sampled invertible g in g_F, a form of F's
+    shape off its fiber, F's restriction to a hyperplane (a cone) as
+    target or source, or a form of any shape."""
+    F = draw(forms())
+    n, d = F.nvars, F.degree
+    how = draw(st.sampled_from(
+        ["twisted", "cross-fiber", "degenerate target", "degenerate source", "any shape"]
+    ))
+    if how == "twisted":
+        g = sample_invertible_symmetrizers(F, seed=draw(st.integers(0, 999)), count=1)[0]
+        return F, twist(F, g, check=False), how
+    if how == "cross-fiber":
+        alpha = draw(st.sampled_from(enumerate_monomials(n, d)))
+        return F, F + SymForm.from_coeffs(n, d, {alpha: draw(nonzero_rationals)}), how
+    if how == "any shape":
+        return F, draw(forms()), how
+    flatten_last = Matrix.from_rows([[int(i == j < n - 1) for j in range(n)] for i in range(n)])
+    cone = compose_linear(F, flatten_last)
+    return (F, cone, how) if how == "degenerate target" else (cone, F, how)
+
+
+def transport_outcome(recover, F, Ft):
+    """("ok", g), or the exception type and message."""
+    try:
+        return ("ok", recover(F, Ft))
+    except (DegenerateFormError, FiberMismatchError, InvariantError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestRecoveryAgainstTheWideSolve:
+    """`recover_symmetrizer` reads g^T off F's pivot block; the reference
+    reduces [J_F^T | J_Ft^T] and checks the result by twisting."""
+
+    @given(transport_cases())
+    @settings(REPORT_AS_DRAWN, max_examples=120)
+    def test_same_matrix_or_same_error(self, case):
+        F, Ft, how = case
+        got = transport_outcome(recover_symmetrizer, F, Ft)
+        assert got == transport_outcome(oracle_recover, F, Ft)
+        if how == "twisted" and is_nondegenerate(F):
+            assert got[0] == "ok" and twist(F, got[1]) == Ft
+
+    def test_the_pivot_block_inverse_is_cached_on_the_source(self):
+        F = parse_poly("x0^2*x1 + x1^3 + x2^3")
+        pivots, E = F.jacobian_pivot_inverse
+        assert F.jacobian_pivot_inverse[1] is E
+        block = Matrix.from_rows([[r[c] for c in pivots] for r in F.jacobian.rows])
+        assert block * E == Matrix.identity(3)
+
+    def test_a_degenerate_source_has_no_pivot_block(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            parse_poly("x0^3 + x1^3", 3).jacobian_pivot_inverse
+
+
+# the forms on which a wrong g_F or a wrong twist must show in the suite
+MUTATION_FORMS = ("x0^3+x1^3+x2^3", "x0^3+x1^3+x2^3+x3^3", "x0^2*x1+x1^3+x2^3")
+
+
+class TestSuiteCatchesMutations:
+    """The identity suite stays independent of the code it checks: a
+    wrong g_F or a wrong twist ends in a failed check or an engine error."""
+
+    @pytest.mark.parametrize("text", MUTATION_FORMS)
+    def test_a_pencil_basis_of_only_the_identity_fails_fiber_invariance(
+        self, monkeypatch, text
+    ):
+        monkeypatch.setattr(algebra, "_pencil_basis", lambda F: (Matrix.identity(F.nvars),))
+        F = parse_poly(text)
+        assert symmetrizer_algebra(F).dim_total == 1
+        assert check_identities(F)["fiber_invariance"].status == "fail"
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("text", MUTATION_FORMS)
+    def test_a_twist_off_by_one_coefficient_is_caught(self, monkeypatch, text, position):
+        # adds 1 to the coefficient of the first or second monomial in
+        # canonical order: x0^d, or x0^(d-1)*x1
+        real = algebra.twist
+
+        def off_by_one(F, g, check=True):
+            G = real(F, g, check)
+            alpha = enumerate_monomials(G.nvars, G.degree)[position]
+            return G + SymForm.from_coeffs(G.nvars, G.degree, {alpha: 1})
+
+        monkeypatch.setattr(algebra, "twist", off_by_one)
+        try:
+            results = check_identities(parse_poly(text))
+        except (DegenerateFormError, FiberMismatchError, InvariantError, NotASymmetrizerError):
+            return
+        assert any(r.status == "fail" for r in results.values())
 
 
 class TestFiberInvariance:

@@ -77,7 +77,7 @@ REPORT_AS_DRAWN = settings(
 # Oracles: the contraction-based evaluators, as they were before the table.
 
 
-def oracle_symmetry_violation(F: SymForm, g: Matrix):
+def oracle_contraction_symmetry_violation(F: SymForm, g: Matrix):
     n, d = F.nvars, F.degree
     if g.nrows != n or g.ncols != n:
         raise ValueError("endomorphism dimension must match the form")
@@ -119,7 +119,7 @@ def oracle_pairings_vanish(F: SymForm, us, ws) -> bool:
 
 
 def oracle_kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
-    witness = oracle_symmetry_violation(F, h)
+    witness = oracle_contraction_symmetry_violation(F, h)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
     n = F.nvars
@@ -168,7 +168,7 @@ def oracle_twist(F: SymForm, g: Matrix, check: bool = True) -> SymForm:
     if g.nrows != F.nvars or g.ncols != F.nvars:
         raise ValueError("endomorphism dimension must match the form")
     if check:
-        witness = oracle_symmetry_violation(F, g)
+        witness = oracle_contraction_symmetry_violation(F, g)
         if witness is not None:
             raise NotASymmetrizerError(*witness)
     n, d = F.nvars, F.degree
@@ -209,7 +209,7 @@ def oracle_hessian_slices(F: SymForm):
 
 def oracle_fiber_invariance_check(F: SymForm, g: Matrix) -> FiberInvarianceReport:
     """Two full symmetrizer algebras per call, as before `algebra=`."""
-    witness = oracle_symmetry_violation(F, g)
+    witness = oracle_contraction_symmetry_violation(F, g)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
     n = F.nvars
@@ -231,7 +231,7 @@ def oracle_nullspace_fiber_invariance_check(
 ) -> FiberInvarianceReport:
     """g_{F^g} as an exact null space, compared with the given algebra's
     span; exact rank, a twist per call, and g^{-1} always."""
-    witness = oracle_symmetry_violation(F, g)
+    witness = oracle_contraction_symmetry_violation(F, g)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
     n = F.nvars
@@ -448,14 +448,14 @@ class TestAgainstOracles:
     @settings(REPORT_AS_DRAWN, max_examples=80)
     def test_symmetry_violation(self, F, data):
         g = data.draw(endomorphisms(F, symmetrizer_algebra(F)))
-        assert symmetry_violation(F, g) == oracle_symmetry_violation(F, g)
+        assert symmetry_violation(F, g) == oracle_contraction_symmetry_violation(F, g)
 
     def test_witness_on_worked_non_symmetrizer(self):
         F = parse_poly("x0^2*x1 + x1^2*x2 + x2^3")
         for rows in ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]]):
             g = Matrix.from_rows(rows)
             got = symmetry_violation(F, g)
-            assert got is not None and got == oracle_symmetry_violation(F, g)
+            assert got is not None and got == oracle_contraction_symmetry_violation(F, g)
 
     def test_shape_mismatch(self):
         F = parse_poly("x0^3 + x1^3")

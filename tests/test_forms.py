@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficient, polynomial_value, slot_value
+from conftest import coefficient, oracle_symmetry_violation, polynomial_value, slot_value
 from symmetrizer import forms
+from symmetrizer.algebra import symmetrizer_algebra
 from symmetrizer.forms import (
     DegenerateFormError,
     NotASymmetrizerError,
@@ -259,6 +260,81 @@ class TestSymmetrizers:
     def test_scalar_twist_scales(self, F, a, b):
         got = twist(F, Matrix.identity(2) * Q(a, b))
         assert got == F * Q(a, b)
+
+
+@st.composite
+def forms_and_endomorphisms(draw):
+    """A sparse form with n <= 4 and d from 2 to 5, and an n×n matrix:
+    sparse, with zero columns, dense and random, a member of g_F, or a
+    member with one entry moved."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    monos = enumerate_monomials(n, d)
+    support = draw(st.lists(st.sampled_from(monos), max_size=8, unique=True))
+    coeffs = st.builds(Q, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 7]))
+    F = SymForm.from_coeffs(n, d, [(a, draw(coeffs)) for a in support])
+    # mostly integers, so that entries of ±1 reach the test as they are
+    entries = st.one_of(
+        st.integers(-3, 3).map(Q), st.builds(Q, st.integers(-4, 4), st.sampled_from([2, 5]))
+    )
+    how = draw(st.sampled_from(["sparse", "zero columns", "random", "member", "perturbed"]))
+    if how in ("member", "perturbed"):
+        rows = [[Q(0)] * n for _ in range(n)]
+        for b in symmetrizer_algebra(F).basis:
+            c = draw(entries)
+            rows = [[x + c * y for x, y in zip(r, br)] for r, br in zip(rows, b.rows)]
+        if how == "perturbed":
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(
+                entries.filter(bool)
+            )
+    elif how == "sparse":
+        rows = [[Q(0)] * n for _ in range(n)]
+        for _ in range(draw(st.integers(0, 3))):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entries)
+    else:
+        rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        if how == "zero columns":
+            zeroed = draw(st.sets(st.integers(0, n - 1), min_size=1))
+            rows = [[Q(0) if c in zeroed else x for c, x in enumerate(r)] for r in rows]
+    return F, Matrix.from_rows(rows), how
+
+
+class TestSymmetryTestByRows:
+    """`symmetry_violation` combines the table rows of `hessian_rows`; the
+    reference scans every pair and monomial with one dot product each."""
+
+    @given(forms_and_endomorphisms())
+    @settings(deadline=None, max_examples=300)
+    def test_same_witness_as_the_pair_scan(self, case):
+        F, g, how = case
+        got = symmetry_violation(F, g)
+        assert got == oracle_symmetry_violation(F, g)
+        if how == "member":
+            assert got is None
+
+    def test_rows_are_the_slices_side_by_side(self):
+        F = parse_poly("x0^2*x1 + 2*x1^2*x2 - x2^3 + x0*x1*x2")
+        n, (_, slices) = F.nvars, F.hessian_slices
+        for k, row in enumerate(F.hessian_rows):
+            assert len(row) == n * len(slices)
+            for b, H in enumerate(slices):
+                assert row[b * n:(b + 1) * n] == H[k]
+
+    def test_witness_is_the_first_pair_then_the_first_monomial(self):
+        # a single entry g[r][c] moves e_c to e_r; the witness names the
+        # first pair i < j whose slices differ, at its first monomial
+        # beta, the slots of beta following (i, j)
+        F = parse_poly("x0^2*x2 + x0*x1^2")
+        for (r, c), witness in {
+            (1, 0): (0, 1, 0),
+            (0, 2): (0, 2, 2),
+            (1, 2): (0, 2, 1),
+            (2, 0): None,
+        }.items():
+            rows = [[int((i, j) == (r, c)) for j in range(3)] for i in range(3)]
+            g = Matrix.from_rows(rows)
+            got = symmetry_violation(F, g)
+            assert got == (None if witness is None else ((0, 1), witness))
+            assert got == oracle_symmetry_violation(F, g)
 
 
 class TestVanishingOrder:

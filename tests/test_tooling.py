@@ -1,12 +1,14 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
 exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
-certificate fails, the generator composes no forms, no small command
+certificate fails, transport twists nothing and inverts one pivot block
+per source form, the generator composes no forms, no small command
 line ends outside the documented exit codes, and a fixed set of command
 lines prints exactly the recorded golden outputs."""
 
 import contextlib
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import io
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetrizer import algebra, cli, corpus, forms, polytext
+from symmetrizer import algebra, cli, corpus, forms, linalg, polytext
 from test_evaluators import oracle_nullspace_fiber_invariance_check
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -40,7 +42,9 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # fractional coefficients and irregular whitespace, an analyze whose
 # repeated monomials merge and cancel, a grammar error left of a bad
 # character, a zero denominator, a 5000-digit coefficient and a
-# non-ASCII digit). A change that keeps every output must keep these
+# non-ASCII digit; and the order of recover's errors: a degenerate
+# source, a degenerate target (exit 3 with no flag) and two degrees
+# (exit 4)). A change that keeps every output must keep these
 # bytes. After an intended output change, rewrite the expectations with
 # `PYTHONPATH=src python tests/test_tooling.py` and review the diff.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
@@ -149,6 +153,57 @@ def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
     certified = algebra._pencil_certificates
     monkeypatch.setattr(algebra, "_pencil_certificates", lambda F: certified(F)[:-1] + (0,))
     fiber_reports(random_form, A)
+
+
+def test_transport_twists_nothing_and_inverts_one_block_per_form(monkeypatch):
+    """Over `check_identities` on two nondegenerate forms, every
+    `recover_symmetrizer` call reads g off the source's pivot block:
+    no `twist` inside it, one inverse of the block per source form, and
+    no reduction of a matrix with one row per degree-(d-1) monomial,
+    the height of [J_F^T | J_Ft^T]."""
+    counts, depth, heights = Counter(), [0], []
+    recover = algebra.recover_symmetrizer
+
+    def counted_recover(*args):
+        counts["recover"] += 1
+        depth[0] += 1
+        try:
+            return recover(*args)
+        finally:
+            depth[0] -= 1
+
+    twist = algebra.twist
+
+    def counted_twist(*args, **kwargs):
+        counts["twist in recover"] += depth[0] > 0
+        return twist(*args, **kwargs)
+
+    echelon = linalg._echelon
+
+    def counted_echelon(rows, ncols):
+        if depth[0]:
+            heights.append(len(rows))
+        return echelon(rows, ncols)
+
+    block = vars(forms.SymForm)["jacobian_pivot_inverse"]
+    counted_block = functools.cached_property(counting(counts, "block", block.func))
+    counted_block.__set_name__(forms.SymForm, "jacobian_pivot_inverse")
+    monkeypatch.setattr(forms.SymForm, "jacobian_pivot_inverse", counted_block)
+    monkeypatch.setattr(algebra, "recover_symmetrizer", counted_recover)
+    monkeypatch.setattr(algebra, "twist", counted_twist)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    sources = [
+        corpus.generate(corpus.GeneratorSpec(kind="random", nvars=4, degree=3, seed=1)),
+        polytext.parse_poly("x0^3*x1 + x1^4 + x2^4 - 2*x0^4"),
+    ]
+    for F in sources:
+        results = algebra.check_identities(F, samples=6)
+        assert results["twist_roundtrip"].status == "pass"
+    assert counts["recover"] == 12
+    assert counts["twist in recover"] == 0
+    assert counts["block"] == len(sources)
+    widths = {forms.monomial_count(F.nvars, F.degree - 1) for F in sources}
+    assert heights and widths.isdisjoint(heights)
 
 
 def test_generate_composes_no_forms(monkeypatch):
