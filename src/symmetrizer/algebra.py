@@ -36,6 +36,10 @@ hold on F^g exactly when they hold on F. The n²-wide rows of F^g are
 ranked mod P only when a certificate fails or the bound exceeds dim g_F,
 and their exact null space is computed only when that falls short too.
 
+Transport decides fiber membership by one exact product, J_Ft = g^T·J_F
+with g invertible and g^T read off F's pivot block; the fiber check
+tests J(F^g) = g^T·J_F. No Grassmann point is computed.
+
 The unipotent part of a nondegenerate g_F is the radical of its trace
 form (x, y) -> tr(xy) (Dickson's criterion): the kernel of the Gram
 matrix G_ij = tr(b_i b_j) on the basis. (a) A nilpotent x commuting with
@@ -65,7 +69,6 @@ from .forms import (
     ProjectivePoint,
     SymForm,
     compose_linear,
-    grassmann_point,
     is_nondegenerate,
     jacobian_kernel,
     jacobian_matrix,
@@ -116,22 +119,22 @@ def constraint_matrix(F: SymForm) -> Matrix:
     already symmetric in slots 2..d, this single swap is equivalent to
     symmetry under every permutation, so the nullspace is exactly g_F.
     The unknown g[k][i] sits at flat index k*n + i, so the row is row j
-    of the Hessian slice H_beta at stride n from i, minus row i from j,
-    over the table's denominator.
+    of slice b, K[j][b·n:(b+1)·n], at stride n from i, minus row i from
+    j, over the denominator of the table K (`SymForm.hessian_table`).
 
     `symmetrizer_algebra` solves this n²-unknown system only when a
     certificate of the pencil route fails (see the module docstring);
     it is also that route's test oracle, and the fiber check's system.
     """
     n = F.nvars
-    den, slices = F.hessian_slices
+    den, K = F.hessian_table
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            for H in slices:
+            for b in range(0, len(K[0]), n):
                 row = [0] * (n * n)
-                row[i::n] = H[j]
-                row[j::n] = [-x for x in H[i]]
+                row[i::n] = K[j][b:b + n]
+                row[j::n] = [-x for x in K[i][b:b + n]]
                 rows.append(tuple(row))
     return Matrix(tuple(rows), den, n * n)
 
@@ -239,10 +242,11 @@ def _pencil_certificates(F: SymForm) -> tuple[list, list, list, int] | None:
     docstring) and the rank mod P of its pencil system R: (sparse
     slices, H, H′, rank), or None when A or B fails. When they hold,
     dim g_F = n − rank R over Q ≤ n − rank."""
-    n = F.nvars
+    n, K = F.nvars, F.hessian_table[1]
     # each slice as the nonzero (l, H_beta[j][l]) of each of its rows j
     sparse = [
-        [[(l, h) for l, h in enumerate(row) if h] for row in Hb] for Hb in F.hessian_slices[1]
+        [[(l, h) for l, h in enumerate(row[b:b + n]) if h] for row in K]
+        for b in range(0, len(K[0]), n)
     ]
     H = [[0] * n for _ in range(n)]
     H2 = [[0] * n for _ in range(n)]
@@ -664,32 +668,31 @@ def recover_symmetrizer(F: SymForm, Ft: SymForm) -> Matrix:
     """The unique g with twist(F, g) = Ft, for forms sharing a Jacobian
     image.
 
-    J_F has rank n, so each row of J_Ft is one combination of the rows
-    of J_F: J_Ft = g^T·J_F, and column j of g rewrites the j-th partial
+    J_F has rank n, so Ft shares its image exactly when J_Ft = g^T·J_F
+    for an invertible g, and column j of g then rewrites the j-th partial
     of Ft over the partials of F. On the pivot columns p of J_F's rref
-    the n×n block J_F[:, p] is invertible, so g^T = J_Ft[:, p]·E with
-    E = J_F[:, p]⁻¹, computed once per source form
-    (`SymForm.jacobian_pivot_inverse`). The result is then checked:
-    invertible, a symmetrizer of F, and g^T·J_F = J_Ft exactly. For a
-    symmetrizer g that last equation is F^g = Ft: row i of J(F^g) is
+    the n×n block J_F[:, p] is invertible, so the only candidate is
+    g^T = J_Ft[:, p]·E with E = J_F[:, p]⁻¹, computed once per source
+    form (`SymForm.jacobian_pivot_inverse`, which refuses a degenerate
+    F). One exact product decides membership: when g^T·J_F ≠ J_Ft or g
+    is singular, Ft is degenerate (read off its own Hessian table) or
+    off F's fiber. Otherwise g must symmetrize F, and for a symmetrizer
+    g^T·J_F = J_Ft is F^g = Ft: row i of J(F^g) is
     F(g·e_i, ., ..., .) = sum_k g[k][i]·F(e_k, ., ..., .), so
     J(F^g) = g^T·J_F, and by Euler's identity, P(x) = sum_i x_i·(row i
     of J)(x), a form is determined by its Jacobian."""
     if (F.nvars, F.degree) != (Ft.nvars, Ft.degree):
         raise FiberMismatchError("forms live in different spaces")
-    if grassmann_point(F) != grassmann_point(Ft):
-        raise FiberMismatchError("forms have different Jacobian images")
     pivots, E = F.jacobian_pivot_inverse
-    J, Jt = jacobian_matrix(F), jacobian_matrix(Ft)
+    Jt = jacobian_matrix(Ft)
     gT = pivot_columns(Jt, pivots) * E
+    if gT * jacobian_matrix(F) != Jt or not is_invertible(gT):
+        if not is_nondegenerate(Ft):
+            raise DegenerateFormError.of(Ft)
+        raise FiberMismatchError("forms have different Jacobian images")
     g = gT.transpose()
-    if not is_invertible(g):
-        raise InvariantError("fiber transport is singular")
-    witness = symmetry_violation(F, g)
-    if witness is not None:
+    if symmetry_violation(F, g) is not None:
         raise InvariantError("fiber transport is not a symmetrizer")
-    if gT * J != Jt:
-        raise InvariantError("fiber transport fails to reproduce the target")
     return g
 
 
@@ -711,8 +714,8 @@ def fiber_invariance_check(
     twisted: SymForm | None = None,
 ) -> FiberInvarianceReport:
     """Check that twisting by an invertible symmetrizer g preserves the
-    symmetrizer algebra, transports Ker(∂F) by g^{-1}, and fixes the
-    Jacobian image (the last only when defined).
+    symmetrizer algebra, transports Ker(∂F) by g^{-1}, and, for a
+    nondegenerate F, gives J(F^g) = g^T·J_F, so the same Jacobian image.
 
     `algebra` is g_F and `twisted` is F^g when the caller has them. The
     algebras agree when every basis element of g_F symmetrizes F^g and
@@ -753,7 +756,7 @@ def fiber_invariance_check(
         return FiberInvarianceReport(algebra_match, kernel_match, None)
     # Ker(∂F) = 0 is transported onto Ker(∂F^g) iff that is 0 too
     kernel_match = not jacobian_kernel(Fg)
-    grassmann_match = grassmann_point(F) == grassmann_point(Fg)
+    grassmann_match = g.transpose() * jacobian_matrix(F) == jacobian_matrix(Fg)
     return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
 
 
@@ -891,9 +894,7 @@ def check_identities(
     out["fiber_invariance"] = _passfail(not fiber_bad, f"failed at samples {fiber_bad}")
 
     if nondeg:
-        rt_bad = [
-            i for i, (g, Fg) in enumerate(zip(gs, twisted)) if recover_symmetrizer(F, Fg) != g
-        ]
+        rt_bad = [i for i, (g, Fg) in enumerate(zip(gs, twisted)) if not _recovers(F, Fg, g)]
         out["twist_roundtrip"] = _passfail(not rt_bad, f"failed at samples {rt_bad}")
     else:
         out["twist_roundtrip"] = CheckResult(
@@ -968,6 +969,14 @@ def check_identities(
             out[key] = skip
 
     return out
+
+
+def _recovers(F: SymForm, Fg: SymForm, g: Matrix) -> bool:
+    """Whether transport gives g back; a transport error fails it."""
+    try:
+        return recover_symmetrizer(F, Fg) == g
+    except (DegenerateFormError, FiberMismatchError, InvariantError):
+        return False
 
 
 def _cross_block_check(F: SymForm, dec: STDecomposition) -> CheckResult:

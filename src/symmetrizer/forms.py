@@ -5,19 +5,18 @@ multilinear access goes through the alpha!/d! polarization factor, so the
 polarized values are fully symmetric by construction. The canonical
 monomial order everywhere is descending lexicographic.
 
-Every symmetrizer test reads one table per form, cached on the instance:
-the Hessian slices H_beta[k][j] = F(e_k, e_j, e^beta), one per degree-(d-2)
-monomial beta, as integers over a common denominator. g is in g_F iff
-every g^T H_beta is symmetric, the constraint rows of g_F are the table's
-entries, and a pairing F(u, w, e^beta) is u^T H_beta w.
-
-The symmetrizer test reads the same table with the slices side by side:
-row k of `hessian_rows` is K[k][b·n + j] = H_b[k][j], b the index of
-beta in canonical order. Then row_i = sum_k g[k][i]·K[k] holds
-(g^T H_b)[i][j] at b·n + j, so g symmetrizes F iff row_i[j::n] =
-row_j[i::n] for every i < j: one integer combination of table rows per
-column of g, skipping its zero entries, and n(n-1)/2 slice comparisons.
-The witness is the first mismatch in the order pairs (i, j) first, then
+Every symmetrizer test reads one table per form, cached on the instance
+(`SymForm.hessian_table`): the Hessian slices H_beta[k][j] =
+F(e_k, e_j, e^beta), one per degree-(d-2) monomial beta, side by side as
+K[k][b·n + j] = H_b[k][j], b the index of beta in canonical order, in
+integers over a common denominator. Each slice is symmetric, so its row
+j is K[j][b·n:(b+1)·n]. g is in g_F iff every g^T H_beta is symmetric,
+the constraint rows of g_F are the table's entries, and a pairing
+F(u, w, e^beta) is u^T H_beta w. The symmetrizer test combines whole
+rows: row_i = sum_k g[k][i]·K[k] holds (g^T H_b)[i][j] at b·n + j, so g
+symmetrizes F iff row_i[j::n] = row_j[i::n] for every i < j, one
+integer combination of table rows per column of g, skipping its zero
+entries. The witness is the first mismatch, pairs (i, j) first, then
 monomials beta.
 
 The table answers Ker(∂F) too. Row i of the table, (H_beta[i][j]) over
@@ -27,9 +26,9 @@ gamma!/(d-1)! and some columns repeated. So its left kernel is Ker(∂F);
 rank n mod P proves that zero, and otherwise the exact null space of
 the table's transpose is the one of J^T, since both transposes have the
 row space Ker(∂F)^⊥ and the rref depends only on the row space. The
-Jacobian matrix, its reduced echelon form and the inverse of its block
-on the pivot columns, cached on the form, serve only the Grassmann
-point and transport.
+Jacobian matrix and the inverse of its block on the pivot columns,
+cached on the form, serve transport, which compares Jacobian images by
+one exact product (see `algebra`).
 
 The domain's constraints are not enforced here, since contraction and
 Jacobian rows naturally produce lower-degree forms: a SymForm needs only
@@ -45,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import comb, factorial, gcd, lcm, log10
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
@@ -69,6 +67,11 @@ class DegenerateFormError(ValueError):
     def __init__(self, message: str, kernel: list[Vec]):
         super().__init__(message)
         self.kernel = kernel
+
+    @classmethod
+    def of(cls, F: "SymForm") -> "DegenerateFormError":
+        """The engine's one error for a degenerate F, with Ker(∂F)."""
+        return cls("form is degenerate; Im(∂F) has positive-dimensional kernel", jacobian_kernel(F))
 
 
 class SizeLimitError(ValueError):
@@ -236,10 +239,11 @@ class SymForm:
         return dict(self.terms)
 
     @cached_property
-    def hessian_slices(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-        """(den, slices) with slices[b][k][j] / den = F(e_k, e_j, e^beta)
-        for the b-th degree-(d-2) monomial beta in canonical order. Each
-        slice is a symmetric n×n integer matrix.
+    def hessian_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, K) with K[k][b·n + j] / den = H_b[k][j] = F(e_k, e_j, e^beta)
+        for the b-th degree-(d-2) monomial beta in canonical order: row k
+        of every Hessian slice side by side. Each slice is a symmetric
+        n×n integer matrix, so its row j is K[j][b·n:(b+1)·n].
 
         F(e^alpha) = c·alpha!/d!, so over D = L·d!, L the lcm of the
         coefficient denominators, every value is the integer N = c·L·alpha!.
@@ -253,7 +257,7 @@ class SymForm:
         D = lc * factorial(d)
         g = gcd(D, *nums)
         den = D // g
-        slices = [[[0] * n for _ in range(n)] for _ in index]
+        K = [[0] * (len(index) * n) for _ in range(n)]
         for (alpha, _), v in zip(self.terms, nums):
             v //= g
             support = [i for i, e in enumerate(alpha) if e]
@@ -263,8 +267,8 @@ class SymForm:
                     beta[k] -= 1
                     beta[j] -= 1
                     if beta[j] >= 0:  # k == j needs alpha[k] >= 2
-                        slices[index[tuple(beta)]][k][j] = v
-        return den, tuple(tuple(map(tuple, s)) for s in slices)
+                        K[k][index[tuple(beta)] * n + j] = v
+        return den, tuple(map(tuple, K))
 
     @cached_property
     def jacobian_kernel(self) -> tuple[Vec, ...]:
@@ -274,8 +278,8 @@ class SymForm:
         if self.degree < 2:
             raise ValueError("the kernel of ∂F is read off the Hessian table: need degree >= 2")
         n = self.nvars
-        # row j of the symmetric slice H_beta is its column j
-        rows = tuple(r for H in self.hessian_slices[1] for r in H if any(r))
+        # column b·n + j of the table is column j of H_b, so its row j
+        rows = tuple(c for c in zip(*self.hessian_table[1]) if any(c))
         if rank_mod_p(rows, n) == n:
             return ()
         return tuple(nullspace(Matrix(rows, 1, n)))
@@ -289,30 +293,15 @@ class SymForm:
         return Matrix.from_rows(rows, monomial_count(n, self.degree - 1))
 
     @cached_property
-    def jacobian_rref(self) -> tuple[Matrix, tuple[int, ...], int]:
-        """rref of the Jacobian matrix: (reduced matrix, pivots, rank)."""
-        return rref(self.jacobian)
-
-    @cached_property
     def jacobian_pivot_inverse(self) -> tuple[tuple[int, ...], Matrix]:
-        """(p, E): the pivot columns p of `jacobian_rref` and the inverse E
-        of the Jacobian's n×n block on them. The pivot columns of a matrix
+        """(p, E): the pivot columns p of the Jacobian's rref and the
+        inverse E of its n×n block on them. The pivot columns of a matrix
         are independent, so the block is invertible exactly when the rank
-        is n: a form whose Jacobian has smaller rank is refused."""
-        _, pivots, rank = self.jacobian_rref
+        is n: a degenerate form is refused with `DegenerateFormError`."""
+        _, pivots, rank = rref(self.jacobian)
         if rank != self.nvars:
-            raise ValueError("a degenerate form has no invertible pivot block")
+            raise DegenerateFormError.of(self)
         return pivots, pivot_columns(self.jacobian, pivots).inverse()
-
-    @cached_property
-    def hessian_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row k of every Hessian slice side by side: entry b·n + j of row
-        k is H_b[k][j] (over the slices' denominator), b the index of
-        beta in canonical order. The symmetrizer test combines these."""
-        slices = self.hessian_slices[1]
-        return tuple(
-            tuple(chain.from_iterable(H[k] for H in slices)) for k in range(self.nvars)
-        )
 
     def coeff_vector(self) -> Vec:
         """Coefficients in the canonical monomial order, dense."""
@@ -438,14 +427,12 @@ def pivot_columns(M: Matrix, columns: Sequence[int]) -> Matrix:
 def grassmann_point(F: SymForm) -> GrassmannPoint:
     """The point J(F): the span of the partial derivatives, canonically.
 
-    Only defined away from cones, so degenerate forms are refused.
+    Only defined away from cones, so degenerate forms are refused. No
+    command computes it: transport compares images by one product.
     """
-    red, _, rank = F.jacobian_rref
+    red, _, rank = rref(F.jacobian)
     if rank != F.nvars:
-        raise DegenerateFormError(
-            "form is degenerate; Im(∂F) has positive-dimensional kernel",
-            jacobian_kernel(F),
-        )
+        raise DegenerateFormError.of(F)
     return GrassmannPoint(F.nvars, F.degree, red)
 
 
@@ -455,18 +442,15 @@ def symmetry_violation(
     """Search for a witness that g fails to symmetrize F.
 
     F(g·e_i, e_j, e^beta) = (g^T H_beta)[i][j], so g symmetrizes F iff
-    every g^T H_beta is symmetric, which g's integer columns decide:
-    row_i = sum_k g[k][i]·K[k] over the nonzero entries of column i,
-    with K the slices side by side (`SymForm.hessian_rows`), holds
-    (g^T H_b)[i][j] at b·n + j, and symmetry is row_i[j::n] = row_j[i::n]
-    for every i < j. The witness is the first pair i < j whose slices
-    differ, at the first monomial beta where they do. Symmetry of F in
-    its last d-1 slots makes this single swap equivalent to full
-    slot-symmetry of the twist.
+    every g^T H_beta is symmetric, which combinations of the rows of
+    `SymForm.hessian_table` decide (see the module docstring). The
+    witness is the first pair i < j whose slices differ, at the first
+    monomial beta where they do. Symmetry of F in its last d-1 slots
+    makes this single swap equivalent to full slot-symmetry of the twist.
     """
     _require_endomorphism(F, g)
     n = F.nvars
-    K = F.hessian_rows
+    K = F.hessian_table[1]
     rows = []
     for col in zip(*g.ints):
         row = None
@@ -493,11 +477,12 @@ def _require_endomorphism(F: SymForm, g: Matrix) -> None:
 def pairings_vanish(F: SymForm, us: Sequence[Vec], ws: Sequence[Vec]) -> bool:
     """True iff F(u, w, e^beta) = u^T H_beta w is 0 for every u in `us`,
     w in `ws` and degree-(d-2) monomial beta."""
+    n, K = F.nvars, F.hessian_table[1]
     us = [integer_row(u)[1] for u in us]
     for w in ws:
         _, w = integer_row(w)
-        for H in F.hessian_slices[1]:
-            Hw = [sum(map(mul, row, w)) for row in H]
+        for b in range(0, len(K[0]), n):
+            Hw = [sum(map(mul, row[b:b + n], w)) for row in K]
             if any(sum(map(mul, u, Hw)) for u in us):
                 return False
     return True

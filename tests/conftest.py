@@ -169,6 +169,14 @@ def flats(mats) -> list[Vec]:
     return [g.flatten() for g in mats]
 
 
+def hessian_slices(F: SymForm):
+    """The one Hessian table seen as slices: (den, slices) with
+    slices[b][k] = K[k][b·n:(b+1)·n] = H_b[k], b the index of beta."""
+    den, K = F.hessian_table
+    n = F.nvars
+    return den, tuple(tuple(row[b:b + n] for row in K) for b in range(0, len(K[0]), n))
+
+
 def oracle_symmetry_violation(F: SymForm, g: Matrix):
     """`forms.symmetry_violation` as a scan of every pair i < j, then
     every monomial beta: (g^T H_beta)[i][j] against [j][i], one integer
@@ -177,7 +185,7 @@ def oracle_symmetry_violation(F: SymForm, g: Matrix):
         raise ValueError("endomorphism dimension must match the form")
     n, d = F.nvars, F.degree
     cols = list(zip(*g.ints))
-    slices = F.hessian_slices[1]
+    slices = hessian_slices(F)[1]
     for i in range(n):
         for j in range(i + 1, n):
             for beta, H in zip(enumerate_monomials(n, d - 2), slices):
@@ -203,6 +211,22 @@ def oracle_recover(F: SymForm, Ft: SymForm) -> Matrix:
     if twist(F, g, check=False) != Ft:
         raise InvariantError("fiber transport fails to reproduce the target")
     return g
+
+
+# the forms on which a wrong g_F or a wrong twist must show in the suite
+MUTATION_FORMS = ("x0^3+x1^3+x2^3", "x0^3+x1^3+x2^3+x3^3", "x0^2*x1+x1^3+x2^3")
+
+
+def off_by_one_twist(position: int):
+    """A wrong `twist`: the real one plus 1 on the coefficient of the
+    first or second monomial in canonical order, x0^d or x0^(d-1)*x1."""
+
+    def mutated(F, g, check=True):
+        G = twist(F, g, check)
+        alpha = enumerate_monomials(G.nvars, G.degree)[position]
+        return G + SymForm.from_coeffs(G.nvars, G.degree, {alpha: 1})
+
+    return mutated
 
 
 _ORACLE_TOKEN = re.compile(

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MUTATION_FORMS, off_by_one_twist
 from symmetrizer import algebra, cli, corpus, forms
 from symmetrizer.algebra import constraint_matrix
 from symmetrizer.forms import MAX_CELLS, cost_estimate
@@ -172,6 +173,16 @@ class TestCheck:
         assert all(
             c["status"] in ("pass", "skipped") for c in report["checks"].values()
         )
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("poly", MUTATION_FORMS)
+    def test_a_wrong_twist_exits_5_with_its_report(self, capsys, monkeypatch, poly, position):
+        monkeypatch.setattr(algebra, "twist", off_by_one_twist(position))
+        code, report, err = run_json(capsys, "check", poly)
+        assert code == 5
+        assert report["checks"]["fiber_invariance"]["status"] == "fail"
+        assert report["checks"]["twist_roundtrip"]["status"] == "fail"
+        assert err == "identity check failed: engine invariant violated\n"
 
     def test_degenerate_input_checks_with_skips(self, capsys):
         code, report, _ = run_json(capsys, "check", "x0^3", "--nvars", "2")

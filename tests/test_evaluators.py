@@ -23,7 +23,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import flats, row_space, same_span, slot_value
+from conftest import flats, hessian_slices, row_space, same_span, slot_value
 from symmetrizer import algebra, linalg
 from symmetrizer.algebra import (
     CheckResult,
@@ -376,8 +376,8 @@ class TestTable:
     @given(forms())
     @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_slices_are_the_polarized_values(self, F):
-        assert F.hessian_slices == oracle_hessian_slices(F)
-        den, slices = F.hessian_slices
+        assert hessian_slices(F) == oracle_hessian_slices(F)
+        den, slices = hessian_slices(F)
         betas = enumerate_monomials(F.nvars, F.degree - 2)
         assert len(slices) == len(betas) and den >= 1
         for beta, H in zip(betas, slices):
@@ -405,7 +405,7 @@ class TestTable:
         dens = st.sampled_from(LARGE_COPRIME_DENOMINATORS + [1, 2, 4, 6, 9, 5040])
         nums = st.integers(-(10**30), 10**30).filter(bool)
         F = SymForm.from_coeffs(n, d, [(a, Q(data.draw(nums), data.draw(dens))) for a in monos])
-        assert F.hessian_slices == oracle_hessian_slices(F)
+        assert hessian_slices(F) == oracle_hessian_slices(F)
 
     def test_table_builds_no_fraction(self, monkeypatch):
         built = [
@@ -426,14 +426,15 @@ class TestTable:
         Q(1, 2)
         assert len(calls) == 1  # the wrapper sees a construction
         calls.clear()
-        tables = [F.hessian_slices for F in built]  # cached: the first access builds
+        tables = [F.hessian_table for F in built]  # cached: the first access builds
         assert calls == []
         monkeypatch.undo()
-        assert tables == [oracle_hessian_slices(F) for F in built]
+        assert [hessian_slices(F) for F in built] == [oracle_hessian_slices(F) for F in built]
+        assert all(F.hessian_table is table for F, table in zip(built, tables))
 
     def test_zero_form(self):
         Z = SymForm.zero(3, 3)
-        assert Z.hessian_slices[0] == 1
+        assert Z.hessian_table[0] == 1
         assert constraint_matrix(Z) == oracle_constraint_matrix(Z)
         assert symmetry_violation(Z, Matrix.from_rows([[0, 1, 0]] * 3)) is None
 

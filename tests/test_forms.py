@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coefficient, oracle_symmetry_violation, polynomial_value, slot_value
+from test_evaluators import oracle_hessian_slices
 from symmetrizer import forms
 from symmetrizer.algebra import symmetrizer_algebra
 from symmetrizer.forms import (
@@ -299,7 +300,7 @@ def forms_and_endomorphisms(draw):
 
 
 class TestSymmetryTestByRows:
-    """`symmetry_violation` combines the table rows of `hessian_rows`; the
+    """`symmetry_violation` combines the rows of `hessian_table`; the
     reference scans every pair and monomial with one dot product each."""
 
     @given(forms_and_endomorphisms())
@@ -313,8 +314,9 @@ class TestSymmetryTestByRows:
 
     def test_rows_are_the_slices_side_by_side(self):
         F = parse_poly("x0^2*x1 + 2*x1^2*x2 - x2^3 + x0*x1*x2")
-        n, (_, slices) = F.nvars, F.hessian_slices
-        for k, row in enumerate(F.hessian_rows):
+        n, (den, slices) = F.nvars, oracle_hessian_slices(F)
+        assert F.hessian_table[0] == den
+        for k, row in enumerate(F.hessian_table[1]):
             assert len(row) == n * len(slices)
             for b, H in enumerate(slices):
                 assert row[b * n:(b + 1) * n] == H[k]

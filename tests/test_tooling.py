@@ -2,7 +2,8 @@
 exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
 certificate fails, transport twists nothing and inverts one pivot block
-per source form, the generator composes no forms, no small command
+per source form, fiber membership is decided by one product with no
+reduction of a target's Jacobian, the generator composes no forms, no small command
 line ends outside the documented exit codes, and a fixed set of command
 lines prints exactly the recorded golden outputs."""
 
@@ -43,8 +44,9 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # repeated monomials merge and cancel, a grammar error left of a bad
 # character, a zero denominator, a 5000-digit coefficient and a
 # non-ASCII digit; and the order of recover's errors: a degenerate
-# source, a degenerate target (exit 3 with no flag) and two degrees
-# (exit 4)). A change that keeps every output must keep these
+# source, a degenerate target (exit 3 with no flag), two degrees
+# (exit 4) and a degenerate target off the source's fiber, which the
+# product rejects before the target's table shows it degenerate (exit 3)). A change that keeps every output must keep these
 # bytes. After an intended output change, rewrite the expectations with
 # `PYTHONPATH=src python tests/test_tooling.py` and review the diff.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
@@ -204,6 +206,85 @@ def test_transport_twists_nothing_and_inverts_one_block_per_form(monkeypatch):
     assert counts["block"] == len(sources)
     widths = {forms.monomial_count(F.nvars, F.degree - 1) for F in sources}
     assert heights and widths.isdisjoint(heights)
+
+
+def test_fiber_membership_is_one_product(monkeypatch):
+    """Over `check_identities` on the two forms above and a run of CLI
+    transport pairs, `recover_symmetrizer` reduces the n×C(n+d−2, d−1)
+    Jacobian of each source form once and that of no target, a
+    successful recovery builds no Hessian table for its target, and
+    `fiber_invariance_check` reduces no Jacobian. A form caches one
+    Hessian table and no echelon form of its Jacobian."""
+    assert [name for name in vars(forms.SymForm) if "hessian" in name] == ["hessian_table"]
+    assert "jacobian_rref" not in vars(forms.SymForm)
+    where, calls, reduced, tables = [], [], [], []
+
+    def inside(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((*args, *kwargs.values()))
+            where.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+        return wrapper
+
+    echelon = linalg._echelon
+
+    def counted_echelon(rows, ncols):
+        rows = tuple(map(tuple, rows))
+        if where:
+            reduced.append((where[-1], rows))
+        return echelon(rows, ncols)
+
+    table = vars(forms.SymForm)["hessian_table"]
+
+    def counted_table(form):
+        tables.append(form)
+        return table.func(form)
+
+    recover = inside("recover", algebra.recover_symmetrizer)
+    successes = []
+
+    def counted_recover(F, Ft):
+        start = len(tables)
+        g = recover(F, Ft)
+        successes.append(not any(form is Ft for form in tables[start:]))
+        return g
+
+    counted = functools.cached_property(counted_table)
+    counted.__set_name__(forms.SymForm, "hessian_table")
+    monkeypatch.setattr(forms.SymForm, "hessian_table", counted)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(algebra, "recover_symmetrizer", counted_recover)
+    monkeypatch.setattr(cli, "recover_symmetrizer", counted_recover)
+    monkeypatch.setattr(
+        algebra, "fiber_invariance_check", inside("fiber", algebra.fiber_invariance_check)
+    )
+    sources = [
+        corpus.generate(corpus.GeneratorSpec(kind="random", nvars=4, degree=3, seed=1)),
+        polytext.parse_poly("x0^3*x1 + x1^4 + x2^4 - 2*x0^4"),
+    ]
+    for F in sources:
+        results = algebra.check_identities(F, samples=6)
+        assert results["twist_roundtrip"].status == results["fiber_invariance"].status == "pass"
+    # recovered pairs, a pair off the fiber and a degenerate target
+    pairs = [
+        (str(F.nvars), str(F), str(forms.twist(F, g)))
+        for F in sources
+        for g in algebra.sample_invertible_symmetrizers(F, seed=2, count=2)
+    ]
+    n, F, _ = pairs[0]
+    pairs += [(n, F, F + " + x0^2*x1"), ("3", "x0^3+x1^3+x2^3", "x0^3+x0^2*x1")]
+    codes = [invoke(["recover", F, Ft, "--nvars", n])[0] for n, F, Ft in pairs]
+    assert codes == [0] * 4 + [4, 3]
+    assert successes == [True] * (len(sources) * 6 + 4)
+    # every Jacobian of a form that reached transport or the fiber check
+    jacobians = {F.jacobian.ints for args in calls for F in args if isinstance(F, forms.SymForm)}
+    of_jacobians = lambda at: [rows for w, rows in reduced if w == at and rows in jacobians]
+    expected = sources + [polytext.parse_poly(F, int(n)) for n, F, _ in pairs]
+    assert of_jacobians("recover") == [F.jacobian.ints for F in expected]
+    assert of_jacobians("fiber") == []
 
 
 def test_generate_composes_no_forms(monkeypatch):
