@@ -84,7 +84,7 @@ from .linalg import (
     Span,
     Vec,
     free_column_basis,
-    integer_row,
+    integer_nullspace,
     is_invertible,
     jordan_chevalley,
     minimal_polynomial,
@@ -217,7 +217,7 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     n = F.nvars
     basis = _pencil_basis(F)
     if basis is None:
-        basis = tuple(Matrix.from_flat(n, v) for v in nullspace(constraint_matrix(F)))
+        basis = tuple(_square(den, v, n) for den, v in integer_nullspace(constraint_matrix(F)))
     unipotent = dim_torus = dim_unip = None
     if is_nondegenerate(F):
         unipotent = _trace_form_radical(basis, n)
@@ -285,13 +285,14 @@ def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
     R = Matrix(tuple(map(tuple, _pencil_rows(sparse, [T.ints for T in exact], n))), 1, n - 1)
     entries = list(zip(*(T.flat_ints() for T in exact)))  # entry t of every power
     gens = [identity.flat_ints()]
-    for v in nullspace(R):
-        c = integer_row(v)[1]
+    for _, c in integer_nullspace(R):
         gens.append([sum(map(mul, c, e)) for e in entries])
-    return tuple(
-        Matrix(tuple(tuple(row[i:i + n]) for i in range(0, n * n, n)), den, n)
-        for den, row in free_column_basis(gens, n * n)
-    )
+    return tuple(_square(den, row, n) for den, row in free_column_basis(gens, n * n))
+
+
+def _square(den: int, flat: Sequence[int], n: int) -> Matrix:
+    """The n×n matrix with row-major integer entries `flat` over den."""
+    return Matrix(tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)), den, n)
 
 
 def _pencil_rows(sparse, powers: Sequence, n: int):
@@ -346,8 +347,7 @@ def _trace_form_radical(basis: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
         return ()
     entries = list(zip(*flats))  # entry t of every basis matrix
     combos = []
-    for v in nullspace(Matrix(gram, 1, m)):
-        c = integer_row(v)[1]
+    for _, c in integer_nullspace(Matrix(gram, 1, m)):
         combos.append([sum(map(mul, c, e)) for e in entries])
     return tuple(Matrix.from_flat(n, v) for v in Span(combos, n * n).basis)
 
@@ -405,7 +405,7 @@ def kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
     if witness is not None:
         raise NotASymmetrizerError(*witness)
     image = Span(h.transpose().ints, F.nvars).basis
-    return pairings_vanish(F, image, nullspace(h))
+    return pairings_vanish(F, image, [v for _, v in integer_nullspace(h)])
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +746,7 @@ def fiber_invariance_check(
         C = constraint_matrix(Fg)
         algebra_match = (
             included and rank_mod_p(C.ints, nn) >= nn - dim
-        ) or A.span == Span(nullspace(C), nn)
+        ) or A.span == Span([v for _, v in integer_nullspace(C)], nn)
 
     kernel_F = jacobian_kernel(F)
     if kernel_F:

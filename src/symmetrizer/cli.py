@@ -19,6 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Any, Iterable
 
 from .algebra import (
@@ -58,8 +59,14 @@ def _vec(v: Vec) -> list[str]:
     return [str(x) for x in v]
 
 
+def _ratio(x: int, den: int) -> str:
+    """x/den printed as its Fraction prints, "p" or "p/q", without one."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def _matrix(m: Matrix) -> list[list[str]]:
-    return [_vec(row) for row in m.rows]
+    return [[_ratio(x, m.den) for x in row] for row in m.ints]
 
 
 def _checks(results: dict[str, CheckResult]) -> dict[str, Any]:

@@ -23,7 +23,7 @@ from .forms import (
     monomial_index,
     symmetry_violation,
 )
-from .linalg import InvariantError, Matrix, nilpotency_index, nullspace
+from .linalg import InvariantError, Matrix, integer_nullspace, nilpotency_index
 from .rng import SplitMix64
 
 KINDS = ("fermat", "random", "st_sum", "cone", "prescribed_nilpotent")
@@ -90,8 +90,9 @@ def _fermat(nvars: int, degree: int, powers: int) -> SymForm:
     ))
 
 
-def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
-    """Basis of the space {F of this degree : h symmetrizes F}.
+def _form_space(h: Matrix, degree: int) -> list[tuple[int, list[int]]]:
+    """Basis of the space {F of this degree : h symmetrizes F}, each form
+    as (den, ints): its coefficients in the canonical order over den.
 
     Same equations as the symmetrizer constraint system, read the other
     way: h is fixed and the unknowns are the polynomial coefficients,
@@ -113,10 +114,16 @@ def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
                             alpha = tuple(b + (t == k) + (t == other) for t, b in enumerate(beta))
                             row[index[alpha]] += sign * h.ints[k][col] * alpha_factorial(alpha)
                 rows.append(tuple(row))
-    basis = nullspace(Matrix(tuple(rows), h.den * factorial(d), len(monos)))
+    return integer_nullspace(Matrix(tuple(rows), h.den * factorial(d), len(monos)))
+
+
+def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:
+    """Basis of the space {F of this degree : h symmetrizes F}, as forms."""
+    n = h.nrows
+    monos = enumerate_monomials(n, degree)
     return [
-        SymForm.from_coeffs(n, d, {a: c for a, c in zip(monos, v) if c})
-        for v in basis
+        SymForm(n, degree, tuple((a, Fraction(x, den)) for a, x in zip(monos, v) if x))
+        for den, v in _form_space(h, degree)
     ]
 
 
@@ -154,15 +161,14 @@ def generate(spec: GeneratorSpec) -> SymForm:
         return SymForm(n, d, tuple(terms))
 
     # prescribed_nilpotent
-    space = nilpotent_form_space(spec.nilpotent, d)
+    space = _form_space(spec.nilpotent, d)
     if not space:
         raise GeneratorError("only the zero form admits this symmetrizer")
     # the basis as integer vectors over one denominator: each draw is one
     # integer combination, and each coefficient one Fraction
     monos = enumerate_monomials(n, d)
-    index = monomial_index(n, d)
-    den = lcm(*(c.denominator for b in space for _, c in b.terms))
-    basis = [[(index[a], c.numerator * (den // c.denominator)) for a, c in b.terms] for b in space]
+    den = lcm(*(b_den for b_den, _ in space))
+    basis = [[(k, x * (den // b_den)) for k, x in enumerate(v) if x] for b_den, v in space]
     rng = SplitMix64(spec.seed)
     for _ in range(RETRY_CAP):
         acc = [0] * len(monos)

@@ -474,9 +474,9 @@ def _require_endomorphism(F: SymForm, g: Matrix) -> None:
         raise ValueError("endomorphism dimension must match the form")
 
 
-def pairings_vanish(F: SymForm, us: Sequence[Vec], ws: Sequence[Vec]) -> bool:
+def pairings_vanish(F: SymForm, us: Sequence[Sequence], ws: Sequence[Sequence]) -> bool:
     """True iff F(u, w, e^beta) = u^T H_beta w is 0 for every u in `us`,
-    w in `ws` and degree-(d-2) monomial beta."""
+    w in `ws` (rational or integer entries) and degree-(d-2) monomial beta."""
     n, K = F.nvars, F.hessian_table[1]
     us = [integer_row(u)[1] for u in us]
     for w in ws:

@@ -338,24 +338,32 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return Matrix(tuple(out), den, M.ncols), pivots, len(pivots)
 
 
-def nullspace(M: Matrix) -> list[Vec]:
-    """Basis of Ker(M), one vector per free column, ascending column order.
-
-    Each basis vector carries 1 in its free coordinate and the negated
-    reduced-echelon coefficients in the pivot coordinates.
-    """
+def integer_nullspace(M: Matrix) -> list[tuple[int, list[int]]]:
+    """The basis `nullspace` returns, as (den, ints) pairs: each vector
+    is ints / den, with ints primitive and equal to den at its free
+    column, so den is the lcm of the entries' denominators."""
     red, pivots, _ = rref(M)
     pivot_set = set(pivots)
     basis = []
     for free in range(M.ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * M.ncols
-        v[free] = Fraction(1)
+        v = [0] * M.ncols
+        v[free] = red.den
         for r, p in enumerate(pivots):
-            v[p] = Fraction(-red.ints[r][free], red.den)
-        basis.append(tuple(v))
+            v[p] = -red.ints[r][free]
+        g = gcd(*v)
+        basis.append((red.den // g, [x // g for x in v]))
     return basis
+
+
+def nullspace(M: Matrix) -> list[Vec]:
+    """Basis of Ker(M), one vector per free column, ascending column order.
+
+    Each basis vector carries 1 in its free coordinate and the negated
+    reduced-echelon coefficients in the pivot coordinates.
+    """
+    return [tuple(Fraction(x, den) for x in v) for den, v in integer_nullspace(M)]
 
 
 def free_column_basis(

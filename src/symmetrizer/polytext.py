@@ -13,6 +13,11 @@ length. Errors come in left-to-right order: a character no token
 matches, or a number past the interpreter's digit limit, is reported
 only when the grammar reaches it.
 
+Terms are assembled on integers: each coefficient stays a signed
+numerator over its (unreduced) denominator, repeated monomials merge
+over the lcm of their denominators, and one Fraction is built per
+nonzero monomial of the result, in the canonical order.
+
 The canonical printer emits terms in descending lexicographic monomial
 order, magnitudes after the first term (signs become separators), '*'
 between all factors, and no unit coefficients except the bare leading
@@ -23,8 +28,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
-from .forms import SymForm, check_size
+from .forms import SymForm, check_size, monomial_index
 
 # Every match succeeds: `end` takes trailing whitespace and `bad` the
 # first character no token starts with.
@@ -110,15 +116,15 @@ class _Tokens:
         return tok
 
 
-def _parse_term(toks: _Tokens, sign: int) -> tuple[dict[int, int], Fraction, int]:
-    """One term: returns (exponent-by-index, signed coefficient, position)."""
+def _parse_term(toks: _Tokens, sign: int) -> tuple[dict[int, int], int, int, int]:
+    """One term: returns (exponent-by-index, signed numerator, denominator,
+    position); the coefficient is numerator / denominator, unreduced."""
     tok = toks.peek()
     pos = tok[2] if tok else len(toks.text)
-    coeff = Fraction(sign)
+    num, den = sign, 1
     if tok is not None and tok[0] == "number":
         toks.next()
-        num = tok[1]
-        den = 1
+        num *= tok[1]
         nxt = toks.peek()
         if nxt is not None and nxt[0] == "slash":
             toks.next()
@@ -126,7 +132,6 @@ def _parse_term(toks: _Tokens, sign: int) -> tuple[dict[int, int], Fraction, int
             den = dtok[1]
             if den == 0:
                 raise ParseError("zero denominator", dtok[2])
-        coeff *= Fraction(num, den)
         toks.expect("star", "'*' between coefficient and variables")
     exponents: dict[int, int] = {}
     while True:
@@ -143,7 +148,7 @@ def _parse_term(toks: _Tokens, sign: int) -> tuple[dict[int, int], Fraction, int
             toks.next()
             continue
         break
-    return exponents, coeff, pos
+    return exponents, num, den, pos
 
 
 def parse_poly(text: str, nvars: int | None = None) -> SymForm:
@@ -157,7 +162,7 @@ def parse_poly(text: str, nvars: int | None = None) -> SymForm:
     toks = _Tokens(text)
     if toks.peek() is None:
         raise ParseError("empty input", 0)
-    terms: list[tuple[dict[int, int], Fraction, int]] = []
+    terms: list[tuple[dict[int, int], int, int, int]] = []
     first = True
     while toks.peek() is not None:
         sign = 1
@@ -172,7 +177,7 @@ def parse_poly(text: str, nvars: int | None = None) -> SymForm:
 
     degree = sum(terms[0][0].values())
     max_index = -1
-    for exps, _, pos in terms:
+    for exps, _, _, pos in terms:
         if sum(exps.values()) != degree:
             raise ParseError(
                 f"term of degree {sum(exps.values())} in a degree-{degree} polynomial",
@@ -180,23 +185,39 @@ def parse_poly(text: str, nvars: int | None = None) -> SymForm:
             )
         max_index = max(max_index, max(exps))
     if degree < 3:
-        raise ParseError(f"degree {degree} is below 3", terms[0][2])
+        raise ParseError(f"degree {degree} is below 3", terms[0][3])
 
     inferred = max_index + 1
     if nvars is None:
         nvars = inferred
     elif nvars < inferred:
-        for exps, _, pos in terms:
+        for exps, _, _, pos in terms:
             if max(exps) >= nvars:
                 raise ParseError(
                     f"variable x{max(exps)} exceeds the declared count {nvars}", pos
                 )
     check_size(nvars, degree)
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for exps, c, _ in terms:
-        alpha = tuple(exps.get(i, 0) for i in range(nvars))
-        coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + c
-    return SymForm.from_coeffs(nvars, degree, coeffs)
+    # each monomial's coefficient as [numerator, denominator], the
+    # denominator the lcm of its terms' own
+    merged: dict[tuple[int, ...], list[int]] = {}
+    for exps, num, den, _ in terms:
+        alpha = [0] * nvars
+        for i, e in exps.items():
+            alpha[i] = e
+        alpha = tuple(alpha)
+        acc = merged.get(alpha)
+        if acc is None:
+            merged[alpha] = [num, den]
+        else:
+            common = lcm(acc[1], den)
+            acc[0] = acc[0] * (common // acc[1]) + num * (common // den)
+            acc[1] = common
+    order = monomial_index(nvars, degree)
+    return SymForm(nvars, degree, tuple(
+        (alpha, Fraction(*merged[alpha]))
+        for alpha in sorted(merged, key=order.__getitem__)
+        if merged[alpha][0]
+    ))
 
 
 def format_poly(F: SymForm) -> str:

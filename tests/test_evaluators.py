@@ -60,7 +60,7 @@ from symmetrizer.forms import (
     symmetry_violation,
     twist,
 )
-from symmetrizer.linalg import Matrix, nullspace, rref
+from symmetrizer.linalg import Matrix, integer_nullspace, nullspace, rref
 from symmetrizer.polys import Poly
 from symmetrizer.polytext import parse_poly
 from symmetrizer.rng import SplitMix64
@@ -667,7 +667,9 @@ class TestIdentitySuiteReuse:
         with pytest.MonkeyPatch.context() as mp:
             for module in (algebra, linalg):
                 mp.setattr(module, "rank_mod_p", lambda rows, ncols: 0)
-            mp.setattr(algebra, "nullspace", lambda M: solves.append(M) or nullspace(M))
+            mp.setattr(
+                algebra, "integer_nullspace", lambda M: solves.append(M) or integer_nullspace(M)
+            )
             assert fiber_invariance_check(F, g, A) == expected
         assert len(solves) == (A.span.dim < n * n)
         assert expected == oracle_nullspace_fiber_invariance_check(F, g, A)

@@ -100,16 +100,51 @@ TOKEN_SOUP = st.lists(
 ).map("".join)
 
 
+MONOMIALS = ["x0^3", "x0^2*x1", "x1^3", "x0*x1*x0", "x0^3*x1^0", "x2^0*x1^3"]
+
+# coefficients "p*", "p/q*" (unreduced, or zero) or none, on monomials
+# written with repeated variables or x_i^0 factors
+TERM = st.builds(
+    lambda sign, coeff, mono: f" {sign} {coeff}{mono}",
+    st.sampled_from("+-"),
+    st.one_of(
+        st.just(""),
+        st.integers(0, 6).map("{}*".format),
+        st.tuples(st.integers(0, 6), st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}*"),
+    ),
+    st.sampled_from(MONOMIALS),
+)
+
+# a term p/q*m followed by k·p/(k·q)*m subtracted: they cancel
+CANCELLING_PAIR = st.builds(
+    lambda p, q, k, mono: f" + {p}/{q}*{mono} - {k * p}/{k * q}*{mono}",
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.sampled_from(MONOMIALS),
+)
+
+# well-formed sums whose repeated monomials merge, cancel or carry
+# different denominators
+TERM_SUMS = st.lists(st.one_of(TERM, CANCELLING_PAIR), min_size=1, max_size=8).map(
+    lambda terms: "".join(terms).lstrip(" +")
+)
+
+
 class TestOnePass:
     def test_time_is_linear_in_the_text(self):
-        text = " + ".join(["x0^2*x1"] * 32000)  # about 320 KB
-        start = time.perf_counter()
-        F = parse_poly(text)
-        elapsed = time.perf_counter() - start
-        assert F.coeff_map == {(2, 1): Q(32000)}
-        assert elapsed < 3.0, f"{len(text)} characters parsed in {elapsed:.2f} s"
+        cases = [
+            # about 320 KB of one repeated monomial
+            (" + ".join(["x0^2*x1"] * 32000), Q(32000)),
+            # about 473 KB of three denominators: a merge that lets its
+            # denominator grow with every term is quadratic here
+            (" + ".join(["1/3*x0^2*x1 + 2/7*x0^2*x1 - 5/11*x0^2*x1"] * 11000), Q(38000, 21)),
+        ]
+        for text, coeff in cases:
+            start = time.perf_counter()
+            F = parse_poly(text)
+            elapsed = time.perf_counter() - start
+            assert F.coeff_map == {(2, 1): coeff}
+            assert elapsed < 3.0, f"{len(text)} characters parsed in {elapsed:.2f} s"
 
-    @given(TOKEN_SOUP)
+    @given(st.one_of(TOKEN_SOUP, TERM_SUMS))
     @settings(deadline=None, max_examples=400)
     def test_agrees_with_the_peek_based_oracle(self, text):
         assert outcome(parse_poly, text) == outcome(oracle_parse_poly, text)

@@ -3,9 +3,11 @@ exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
 certificate fails, transport twists nothing and inverts one pivot block
 per source form, fiber membership is decided by one product with no
-reduction of a target's Jacobian, the generator composes no forms, no small command
-line ends outside the documented exit codes, and a fixed set of command
-lines prints exactly the recorded golden outputs."""
+reduction of a target's Jacobian, the generator composes no forms,
+parsing builds one Fraction per monomial of its result and printing a
+report matrix builds none, no small command line ends outside the
+documented exit codes, and a fixed set of command lines prints exactly
+the recorded golden outputs."""
 
 import contextlib
 import dataclasses
@@ -16,6 +18,7 @@ import io
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -46,8 +49,13 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # non-ASCII digit; and the order of recover's errors: a degenerate
 # source, a degenerate target (exit 3 with no flag), two degrees
 # (exit 4) and a degenerate target off the source's fiber, which the
-# product rejects before the target's table shows it degenerate (exit 3)). A change that keeps every output must keep these
-# bytes. After an intended output change, rewrite the expectations with
+# product rejects before the target's table shows it degenerate (exit
+# 3); and terms that merge on integers: an analyze that cancels to the
+# zero form, one with unreduced and zero coefficients, a recover whose
+# target repeats monomials over different denominators, and a recover
+# whose target cancels to a degenerate form (exit 3)). A change that
+# keeps every output must keep these bytes. After an intended output
+# change, rewrite the expectations with
 # `PYTHONPATH=src python tests/test_tooling.py` and review the diff.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 
@@ -315,6 +323,46 @@ def test_generate_composes_no_forms(monkeypatch):
     assert code == 0 and counts == Counter()
     algebra.st_decompose(polytext.parse_poly(st_sum))
     assert counts["compose"] > 0
+
+
+@contextlib.contextmanager
+def counting_fractions():
+    """Counts every Fraction built while the block runs."""
+    counts = Counter()
+    original = vars(Fraction)["__new__"]
+
+    def new(cls, *args, **kwargs):
+        counts["fraction"] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(new)
+    try:
+        yield counts
+    finally:
+        Fraction.__new__ = original
+
+
+def test_parsing_and_printing_build_no_spare_fractions():
+    """parse_poly merges terms on integers and builds one Fraction per
+    nonzero monomial of the result: repeats, cancellations, unreduced p/q
+    and explicit zeros build none of their own. Printing a report matrix
+    reads its integer rows and builds none."""
+    text = (
+        "1/2*x0^3 + 2/4*x0^3 - 1/3*x0^2*x1 + x0*x1*x0 + 3/9*x0^2*x1"
+        " + 5*x1^3 - 10/2*x1^3 + 0*x2^3 + 0/5*x1^3 - 7/6*x1*x2^2*x1^0 + x2^3"
+    )
+    with counting_fractions() as counts:
+        F = polytext.parse_poly(text)
+    assert F.coeff_map == {
+        (3, 0, 0): 1, (2, 1, 0): 1, (0, 1, 2): Fraction(-7, 6), (0, 0, 3): 1
+    }
+    assert counts["fraction"] == len(F.terms)
+    g = linalg.Matrix(((2, 0, -1), (3, 4, 6), (0, 12, 8)), 12, 3)
+    with counting_fractions() as counts:
+        printed = cli._matrix(g)
+    assert printed == [[str(x) for x in row] for row in g.rows]
+    assert printed == [["1/6", "0", "-1/12"], ["1/4", "1/3", "1/2"], ["0", "1", "2/3"]]
+    assert counts["fraction"] == 0
 
 
 # ---------------------------------------------------------------------------
