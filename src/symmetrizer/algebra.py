@@ -37,8 +37,11 @@ ranked mod P only when a certificate fails or the bound exceeds dim g_F,
 and their exact null space is computed only when that falls short too.
 
 Transport decides fiber membership by one exact product, J_Ft = g^T·J_F
-with g invertible and g^T read off F's pivot block; the fiber check
-tests J(F^g) = g^T·J_F. No Grassmann point is computed.
+with g invertible and g^T read off F's pivot block. The fiber check
+tests K(F^g) = g^T·K(F) on the Hessian tables, which says the same as
+J(F^g) = g^T·J_F: every table column is a Jacobian column gamma scaled
+by gamma!/(d-1)! > 0, and every Jacobian column occurs in the table.
+No Grassmann point is computed.
 
 The unipotent part of a nondegenerate g_F is the radical of its trace
 form (x, y) -> tr(xy) (Dickson's criterion): the kernel of the Gram
@@ -618,11 +621,7 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
     infinite_family = False
     search_complete = True
     dim = len(unip)
-    if dim == 1:
-        f = unip[0]
-        if (f * f).is_zero:
-            register(f, coeffs=(Fraction(1),))
-    elif dim == 2:
+    if dim == 2:
         f1, f2 = unip
         cross = f1 * f2 + f2 * f1
         sq1, sq2 = f1 * f1, f2 * f2
@@ -645,8 +644,6 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
             )
             for b0 in roots:
                 register(f1 + b0 * f2, coeffs=(Fraction(1), b0))
-        if (sq2).is_zero:
-            register(f2, coeffs=(Fraction(0), Fraction(1)))
     elif dim >= 3:
         search_complete = False
 
@@ -707,6 +704,12 @@ class FiberInvarianceReport:
         return self.algebra_match and self.kernel_match and self.grassmann_match is not False
 
 
+def _table(F: SymForm) -> Matrix:
+    """The Hessian table of F (`SymForm.hessian_table`) as a Matrix."""
+    den, K = F.hessian_table
+    return Matrix(K, den, len(K[0]))
+
+
 def fiber_invariance_check(
     F: SymForm,
     g: Matrix,
@@ -715,7 +718,8 @@ def fiber_invariance_check(
 ) -> FiberInvarianceReport:
     """Check that twisting by an invertible symmetrizer g preserves the
     symmetrizer algebra, transports Ker(∂F) by g^{-1}, and, for a
-    nondegenerate F, gives J(F^g) = g^T·J_F, so the same Jacobian image.
+    nondegenerate F, gives J(F^g) = g^T·J_F, so the same Jacobian image,
+    which it tests as K(F^g) = g^T·K(F) on the Hessian tables.
 
     `algebra` is g_F and `twisted` is F^g when the caller has them. The
     algebras agree when every basis element of g_F symmetrizes F^g and
@@ -756,7 +760,7 @@ def fiber_invariance_check(
         return FiberInvarianceReport(algebra_match, kernel_match, None)
     # Ker(∂F) = 0 is transported onto Ker(∂F^g) iff that is 0 too
     kernel_match = not jacobian_kernel(Fg)
-    grassmann_match = g.transpose() * jacobian_matrix(F) == jacobian_matrix(Fg)
+    grassmann_match = g.transpose() * _table(F) == _table(Fg)
     return FiberInvarianceReport(algebra_match, kernel_match, grassmann_match)
 
 

@@ -82,8 +82,7 @@ def _random_form(nvars: int, degree: int, seed: int, bound: int) -> SymForm:
 
 
 def _fermat(nvars: int, degree: int, powers: int) -> SymForm:
-    """The sum of x_i^degree over the first `powers` of `nvars` variables;
-    i ascending is the canonical order of these terms."""
+    """The sum of x_i^degree over the first `powers` of `nvars` variables."""
     one = Fraction(1)
     return SymForm(nvars, degree, tuple(
         (tuple(degree if j == i else 0 for j in range(nvars)), one) for i in range(powers)
@@ -153,8 +152,7 @@ def generate(spec: GeneratorSpec) -> SymForm:
                 raise GeneratorError(
                     f"no nondegenerate block of size {size} within {RETRY_CAP} draws"
                 )
-            # sub in variables off, ..., off + size - 1. Each block's terms
-            # sort above the next block's, so the terms stay canonical.
+            # sub in variables off, ..., off + size - 1
             head, tail = (0,) * off, (0,) * (n - off - size)
             terms += [(head + alpha + tail, c) for alpha, c in sub.terms]
             off += size

@@ -3,7 +3,9 @@
 A form F is stored by the polynomial coefficients of P(x) = F(x, ..., x);
 multilinear access goes through the alpha!/d! polarization factor, so the
 polarized values are fully symmetric by construction. The canonical
-monomial order everywhere is descending lexicographic.
+monomial order everywhere is descending lexicographic. The `SymForm`
+constructor owns it: it sorts the terms it is given into that order and
+refuses a monomial given twice, so callers pass terms in any order.
 
 Every symmetrizer test reads one table per form, cached on the instance
 (`SymForm.hessian_table`): the Hessian slices H_beta[k][j] =
@@ -184,8 +186,10 @@ class SymForm:
     """Symmetric multilinear form of arity `degree` on Q^nvars.
 
     `terms` holds (exponents, coefficient) pairs for the defining
-    polynomial, sorted in the canonical monomial order with zeros dropped,
-    so equality of forms is equality of the dataclass.
+    polynomial. The constructor sorts them into the canonical monomial
+    order and refuses a zero coefficient or a monomial given twice, so
+    equality of forms is equality of the dataclass whatever order the
+    terms came in. `from_coeffs` merges repeats and drops zeros first.
     """
 
     nvars: int
@@ -197,7 +201,9 @@ class SymForm:
             raise ValueError("need at least one variable")
         if self.degree < 0:
             raise ValueError("negative degree")
-        for alpha, c in self.terms:
+        terms = tuple(sorted(self.terms, reverse=True))
+        previous = None
+        for alpha, c in terms:
             if len(alpha) != self.nvars or any(e < 0 for e in alpha):
                 raise ValueError(f"bad exponent vector {alpha}")
             if sum(alpha) != self.degree:
@@ -206,6 +212,10 @@ class SymForm:
                 )
             if c == 0:
                 raise ValueError("zero coefficient stored; use from_coeffs")
+            if alpha == previous:
+                raise ValueError(f"monomial {alpha} stored twice; use from_coeffs")
+            previous = alpha
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_coeffs(
@@ -223,12 +233,7 @@ class SymForm:
         unknown = [a for a in merged if a not in order]
         if unknown:
             raise ValueError(f"exponent vector {unknown[0]} out of range")
-        terms = tuple(
-            (a, merged[a])
-            for a in sorted(merged, key=order.__getitem__)
-            if merged[a] != 0
-        )
-        return SymForm(nvars, degree, terms)
+        return SymForm(nvars, degree, tuple((a, c) for a, c in merged.items() if c))
 
     @staticmethod
     def zero(nvars: int, degree: int) -> "SymForm":
@@ -313,27 +318,6 @@ class SymForm:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "SymForm") -> "SymForm":
-        if (self.nvars, self.degree) != (other.nvars, other.degree):
-            raise ValueError("shape mismatch")
-        return SymForm.from_coeffs(
-            self.nvars, self.degree, list(self.terms) + list(other.terms)
-        )
-
-    def __neg__(self) -> "SymForm":
-        return SymForm(self.nvars, self.degree, tuple((a, -c) for a, c in self.terms))
-
-    def __sub__(self, other: "SymForm") -> "SymForm":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "SymForm":
-        s = Fraction(scalar)
-        if s == 0:
-            return SymForm.zero(self.nvars, self.degree)
-        return SymForm(self.nvars, self.degree, tuple((a, s * c) for a, c in self.terms))
-
-    __rmul__ = __mul__
 
     def contract(self, u: Sequence) -> "SymForm":
         """The (degree-1)-form F(u, ., ..., .) = (1/d) * directional
@@ -523,10 +507,7 @@ def twist(F: SymForm, g: Matrix, check: bool = True) -> SymForm:
                     continue
                 beta = base[:j] + (base[j] + 1,) + base[j + 1 :]
                 out[beta] = out.get(beta, 0) + scale * gij
-    order = monomial_index(n, d)
-    return SymForm(n, d, tuple(
-        (beta, Fraction(out[beta], den)) for beta in sorted(out, key=order.__getitem__) if out[beta]
-    ))
+    return SymForm(n, d, tuple((beta, Fraction(v, den)) for beta, v in out.items() if v))
 
 
 def vanishing_order(F: SymForm, u: Sequence | ProjectivePoint) -> int:

@@ -16,7 +16,9 @@ only when the grammar reaches it.
 Terms are assembled on integers: each coefficient stays a signed
 numerator over its (unreduced) denominator, repeated monomials merge
 over the lcm of their denominators, and one Fraction is built per
-nonzero monomial of the result, in the canonical order.
+nonzero monomial of the result. The merged terms go to `SymForm` in
+the order they were first seen; its constructor sorts them into the
+canonical order.
 
 The canonical printer emits terms in descending lexicographic monomial
 order, magnitudes after the first term (signs become separators), '*'
@@ -30,7 +32,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .forms import SymForm, check_size, monomial_index
+from .forms import SymForm, check_size
 
 # Every match succeeds: `end` takes trailing whitespace and `bad` the
 # first character no token starts with.
@@ -212,11 +214,8 @@ def parse_poly(text: str, nvars: int | None = None) -> SymForm:
             common = lcm(acc[1], den)
             acc[0] = acc[0] * (common // acc[1]) + num * (common // den)
             acc[1] = common
-    order = monomial_index(nvars, degree)
     return SymForm(nvars, degree, tuple(
-        (alpha, Fraction(*merged[alpha]))
-        for alpha in sorted(merged, key=order.__getitem__)
-        if merged[alpha][0]
+        (alpha, Fraction(num, den)) for alpha, (num, den) in merged.items() if num
     ))
 
 

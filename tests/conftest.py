@@ -224,7 +224,7 @@ def off_by_one_twist(position: int):
     def mutated(F, g, check=True):
         G = twist(F, g, check)
         alpha = enumerate_monomials(G.nvars, G.degree)[position]
-        return G + SymForm.from_coeffs(G.nvars, G.degree, {alpha: 1})
+        return SymForm.from_coeffs(G.nvars, G.degree, G.terms + ((alpha, 1),))
 
     return mutated
 

@@ -201,8 +201,8 @@ class TestFormSpaceMatchesOracle:
 
 # ---------------------------------------------------------------------------
 # generate as it was built: cones and direct sums by compose_linear with
-# rows of the identity, summed by SymForm.__add__, and each prescribed draw
-# merged in Fractions by from_coeffs
+# rows of the identity, summed and each prescribed draw merged in Fractions
+# by from_coeffs
 
 
 def oracle_random_form(nvars: int, degree: int, seed: int, bound: int) -> SymForm:
@@ -231,7 +231,7 @@ def oracle_generate(spec: GeneratorSpec) -> SymForm:
         return oracle_random_form(n, d, spec.seed, spec.coefficient_bound)
     if spec.kind == "st_sum":
         stream = SplitMix64(spec.seed)
-        total = SymForm.zero(n, d)
+        terms = []
         off = 0
         for size in spec.blocks:
             for _ in range(RETRY_CAP):
@@ -243,9 +243,9 @@ def oracle_generate(spec: GeneratorSpec) -> SymForm:
                     f"no nondegenerate block of size {size} within {RETRY_CAP} draws"
                 )
             rows = Matrix.identity(n).rows[off : off + size]
-            total = total + compose_linear(sub, Matrix.from_rows(rows, n))
+            terms += compose_linear(sub, Matrix.from_rows(rows, n)).terms
             off += size
-        return total
+        return SymForm.from_coeffs(n, d, terms)
     space = nilpotent_form_space(spec.nilpotent, d)
     if not space:
         raise GeneratorError("only the zero form admits this symmetrizer")

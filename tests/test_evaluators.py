@@ -579,7 +579,8 @@ class TestIntegerTwist:
         assert twist(F, Matrix.zeros(2)) == oracle_twist(F, Matrix.zeros(2)) == SymForm.zero(2, 3)
         g = Matrix.from_rows([[Q(1, 3), 0], [0, Q(1, 3)]])
         assert twist(SymForm.zero(2, 3), g) == SymForm.zero(2, 3)
-        assert twist(F, g) == oracle_twist(F, g) == F * Q(1, 3)
+        third = SymForm.from_coeffs(2, 3, [(a, c / 3) for a, c in F.terms])
+        assert twist(F, g) == oracle_twist(F, g) == third
 
 
 class TestIdentitySuiteReuse:

@@ -30,7 +30,7 @@ from symmetrizer.forms import (
 )
 from symmetrizer.linalg import Matrix, nullspace, vector
 from symmetrizer.polys import P as PRIME
-from symmetrizer.polytext import parse_poly
+from symmetrizer.polytext import format_poly, parse_poly
 
 
 def V(*xs):
@@ -44,6 +44,11 @@ def symforms(draw, nvars=None, degree=None):
     monos = enumerate_monomials(n, d)
     coeffs = [draw(st.integers(-5, 5)) for _ in monos]
     return SymForm.from_coeffs(n, d, zip(monos, map(Q, coeffs)))
+
+
+def scaled(F: SymForm, s) -> SymForm:
+    """s·F, built by from_coeffs: forms have no arithmetic operators."""
+    return SymForm.from_coeffs(F.nvars, F.degree, [(a, s * c) for a, c in F.terms])
 
 
 @st.composite
@@ -90,6 +95,9 @@ class TestPolarization:
         base = F.evaluate(*vecs)
         perm = data.draw(st.permutations(range(F.degree)))
         assert F.evaluate(*(vecs[i] for i in perm)) == base
+        # the form's terms in any order build the same form
+        shuffled = SymForm(F.nvars, F.degree, tuple(data.draw(st.permutations(F.terms))))
+        assert shuffled == F and shuffled.evaluate(*vecs) == base
 
     @given(symforms(), st.data())
     @settings(deadline=None, max_examples=40)
@@ -130,7 +138,7 @@ class TestJacobian:
     def test_grassmann_equality_is_row_space_equality(self):
         F = parse_poly("x0^2*x1")
         assert grassmann_point(F) == grassmann_point(parse_poly("x0^3 + x0^2*x1"))
-        assert grassmann_point(F) == grassmann_point(F * Q(7, 3))
+        assert grassmann_point(F) == grassmann_point(scaled(F, Q(7, 3)))
         assert grassmann_point(F) != grassmann_point(parse_poly("x0^3 + x1^3"))
 
 
@@ -232,7 +240,7 @@ class TestSymmetrizers:
     def test_twist_by_identity_and_scalar(self):
         F = parse_poly("x0^2*x2 + x0*x1^2")
         assert twist(F, Matrix.identity(3)) == F
-        assert twist(F, Matrix.identity(3) * Q(5)) == F * Q(5)
+        assert twist(F, Matrix.identity(3) * Q(5)) == scaled(F, 5)
 
     def test_non_symmetrizer_rejected(self):
         F = parse_poly("x0^2*x1")
@@ -260,7 +268,7 @@ class TestSymmetrizers:
     @settings(deadline=None, max_examples=30)
     def test_scalar_twist_scales(self, F, a, b):
         got = twist(F, Matrix.identity(2) * Q(a, b))
-        assert got == F * Q(a, b)
+        assert got == scaled(F, Q(a, b))
 
 
 @st.composite
@@ -407,3 +415,18 @@ class TestValidation:
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
             SymForm.from_coeffs(2, 3, [((2, 0), Q(1))])
+
+    def test_repeated_monomial_rejected(self):
+        with pytest.raises(ValueError, match="stored twice"):
+            SymForm(2, 3, (((3, 0), 1), ((3, 0), 1)))
+
+    def test_terms_in_any_order_build_the_canonical_form(self):
+        F = SymForm(2, 3, (((0, 3), 1), ((3, 0), 1)))
+        G = parse_poly("x0^3 + x1^3")
+        assert F == G and hash(F) == hash(G)
+        assert format_poly(F) == format_poly(G) == "x0^3 + x1^3"
+        assert F.hessian_table == G.hessian_table
+
+    def test_out_of_range_monomial_rejected_even_when_it_cancels(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SymForm.from_coeffs(2, 3, [((3, 0, 0), 1), ((3, 0, 0), -1)])

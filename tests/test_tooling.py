@@ -297,16 +297,15 @@ def test_fiber_membership_is_one_product(monkeypatch):
 
 def test_generate_composes_no_forms(monkeypatch):
     """generate builds cones and direct sums by padding exponent vectors:
-    no compose_linear (wherever a module holds it) and no SymForm sum, for
-    every kind, integer and fractional nilpotents included. st_decompose,
-    which restricts a form to its blocks, still counts."""
+    no compose_linear (wherever a module holds it), for every kind,
+    integer and fractional nilpotents included. st_decompose, which
+    restricts a form to its blocks, still counts."""
     counts = Counter()
     for module in (forms, corpus, algebra):
         if hasattr(module, "compose_linear"):
             monkeypatch.setattr(
                 module, "compose_linear", counting(counts, "compose", forms.compose_linear)
             )
-    monkeypatch.setattr(forms.SymForm, "__add__", counting(counts, "add", forms.SymForm.__add__))
     h = "0,0,0,0;1/2,0,0,0;0,-3,0,0;0,0,0,0"
     specs = [
         {"kind": kind, "nvars": n, "degree": d, "seed": seed}
