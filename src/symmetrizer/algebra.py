@@ -21,16 +21,34 @@ column of R mod P a unit multiple of its integer column. Then
 g = sum_k a_k M^k is in g_F iff a is in the kernel of R, the system with
 one row per (i < j, beta) and column k holding (H_beta M^k)[j][i] -
 (H_beta M^k)[i][j]: n unknowns against the n² of `constraint_matrix`.
-Column 0 is zero, so rank n - 1 mod P proves
-g_F = <I> with no exact elimination; otherwise the exact kernel of R
-gives g_F. When (A) or (B) fails (cones, forms with a vanishing Hessian,
-a derogatory M), g_F is the exact null space of `constraint_matrix`,
-which gives the same canonical basis.
+Column 0 is zero, and so is every row of H and H' themselves (both
+H M^k and H' M^k are symmetric).
+
+R is not built: its sketch R_c is, the rows of the single slices
+H_c = sum_b c^b H_b for c in `SKETCH`, taken mod P. Every row of R_c is
+a combination of rows of R, so rank R_c <= rank R mod P <= rank R over
+Q, and dim g_F <= n - rank R_c. Rank n - 1 proves g_F = <I> with no
+exact elimination. Otherwise the kernel of R_c mod P, with I, gives
+n - rank R_c elements sum_k a_k M^k mod P, independent by (B); their
+reduced echelon form mod P with the columns reversed (the order of
+`free_column_basis`) is reconstructed entry by entry as fractions with
+|num|, den <= sqrt(P/2) (Wang, Guy and Davenport), and each matrix must
+pass the exact integer test `symmetry_violation`. Those that pass lie in
+g_F; reconstruction keeps every 0 and 1, so they are still in reduced
+echelon form, with distinct pivots, and independent; they number
+n - rank R_c >= dim g_F, so they are a basis of g_F. A space has one
+reduced echelon basis, so they are exactly the basis
+`nullspace(constraint_matrix(F))` gives. When an entry does not
+reconstruct or a test fails, the exact kernel of R over the exact
+powers of M gives g_F. Under (A), F is nondegenerate: H u = 0 for every
+u in Ker ∂F, and H is invertible. When (A) or (B) fails (cones, forms
+with a vanishing Hessian, a derogatory M), g_F is the exact null space
+of `constraint_matrix`, which gives the same canonical basis.
 
 The fiber check needs only a bound on dim g_{F^g}, and reads it off the
 pencil of F^g's own table with the same certificates
 (`_pencil_certificates`, shared with `_pencil_basis`): when (A) and (B)
-hold there, dim g_{F^g} = n - rank R^g <= n - rank of R^g mod P. Since
+hold there, dim g_{F^g} = n - rank R^g <= n - rank of the sketch. Since
 H^g_beta = g^T H_beta, M^g = M, so for a g with det g a unit mod P they
 hold on F^g exactly when they hold on F. The n²-wide rows of F^g are
 ranked mod P only when a certificate fails or the bound exceeds dim g_F,
@@ -90,11 +108,14 @@ from .linalg import (
     integer_nullspace,
     is_invertible,
     jordan_chevalley,
+    kernel_mod_p,
     minimal_polynomial,
     nilpotency_index,
     nullspace,
     poly_at_matrix,
     rank_mod_p,
+    rational_row_mod_p,
+    rref_mod_p,
     solve_matrix,
     solve_mod_p,
 )
@@ -219,10 +240,14 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     """Compute g_F and, for nondegenerate F, its torus/unipotent split."""
     n = F.nvars
     basis = _pencil_basis(F)
+    # the pencil route runs only under certificate A, which proves F
+    # nondegenerate (see the module docstring)
+    nondegenerate = basis is not None
     if basis is None:
         basis = tuple(_square(den, v, n) for den, v in integer_nullspace(constraint_matrix(F)))
+        nondegenerate = is_nondegenerate(F)
     unipotent = dim_torus = dim_unip = None
-    if is_nondegenerate(F):
+    if nondegenerate:
         unipotent = _trace_form_radical(basis, n)
         for u in unipotent:
             if nilpotency_index(u) is None:
@@ -240,54 +265,113 @@ def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     return A
 
 
-def _pencil_certificates(F: SymForm) -> tuple[list, list, list, int] | None:
-    """Certificates A and B on F's own Hessian table (see the module
-    docstring) and the rank mod P of its pencil system R: (sparse
-    slices, H, H′, rank), or None when A or B fails. When they hold,
-    dim g_F = n − rank R over Q ≤ n − rank."""
+# the sketch of R: the pencil rows of H_c = sum_b c^b H_b at these c
+# (c = 1 gives H, whose rows are zero)
+SKETCH = (2, 3)
+
+
+def _slice_sums(F: SymForm, weights: Sequence[Sequence[int]]) -> list[list[list[int]]]:
+    """sum_b w[b]·H_b over the slices b of F's Hessian table, one integer
+    matrix per weight sequence w."""
     n, K = F.nvars, F.hessian_table[1]
-    # each slice as the nonzero (l, H_beta[j][l]) of each of its rows j
-    sparse = [
-        [[(l, h) for l, h in enumerate(row[b:b + n]) if h] for row in K]
-        for b in range(0, len(K[0]), n)
-    ]
-    H = [[0] * n for _ in range(n)]
-    H2 = [[0] * n for _ in range(n)]
-    for b, Hb in enumerate(sparse, 1):
-        for j, row in enumerate(Hb):
-            for l, h in row:
-                H[j][l] += h
-                H2[j][l] += b * h
-    M = solve_mod_p(H, H2)
+    # column b·n + l of table row j is H_b[j][l], so row[l::n] runs over b
+    return [[[sum(map(mul, w, row[l::n])) for l in range(n)] for row in K] for w in weights]
+
+
+def _pencil_pair(F: SymForm) -> list[list[list[int]]]:
+    """[H, H′]: H = sum_b H_b and H′ = sum_b (b + 1) H_b."""
+    m = len(F.hessian_table[1][0]) // F.nvars
+    return _slice_sums(F, [(1,) * m, range(1, m + 1)])
+
+
+def _sparse(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Each row as its nonzero (l, entry) pairs, the slices `_pencil_rows` reads."""
+    return [[(l, h) for l, h in enumerate(row) if h] for row in rows]
+
+
+def _pencil_certificates(F: SymForm) -> tuple[list, list, int] | None:
+    """Certificates A and B on F's own Hessian table (see the module
+    docstring), then the sketch of the pencil system R mod P:
+    (M^1, ..., M^(n-1) mod P, the reduced echelon of the sketch mod P,
+    its rank), or None when A or B fails. When they hold,
+    dim g_F = n − rank R over Q ≤ n − rank."""
+    n = F.nvars
+    M = solve_mod_p(*_pencil_pair(F))
     if M is None:  # certificate A: H is invertible
         return None
     powers = [M] if n > 1 else []  # M^1, ..., M^(n-1) mod P
     while len(powers) < n - 1:
         powers.append(_product_mod_p(powers[-1], M))
-    flats = [Matrix.identity(n).flat_ints()] + [list(chain.from_iterable(T)) for T in powers]
-    if rank_mod_p(flats, n * n) < n:  # certificate B: M is nonderogatory
-        return None
-    return sparse, H, H2, rank_mod_p(_pencil_rows(sparse, powers, n), n - 1)
+    # certificate B: M is nonderogatory, when I, M, ..., M^(n-1) are
+    # independent; M^k·u independent for u = (1, ..., 1), the row sums of
+    # M^k, prove it from n rows of width n, and the flats decide otherwise
+    krylov = [[1] * n] + [[sum(r) for r in T] for T in powers]
+    if rank_mod_p(krylov, n) < n:
+        flats = [Matrix.identity(n).flat_ints()] + [list(chain.from_iterable(T)) for T in powers]
+        if rank_mod_p(flats, n * n) < n:
+            return None
+    m = len(F.hessian_table[1][0]) // n
+    sketch = _slice_sums(F, [[c**b for b in range(m)] for c in SKETCH])
+    echelon = rref_mod_p(_pencil_rows(map(_sparse, sketch), powers, n), n - 1)
+    return powers, echelon, len(echelon)
 
 
 def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
     """g_F as the kernel of the pencil system R inside Q[M], M = H⁻¹H′,
     or None when certificate A or B fails (see the module docstring).
-    The basis is the one `nullspace(constraint_matrix(F))` gives."""
+    The basis is the one `nullspace(constraint_matrix(F))` gives: read
+    off the sketch mod P and checked exactly, or, when reconstruction or
+    the check fails, from the exact kernel of R."""
     certified = _pencil_certificates(F)
     if certified is None:
         return None
-    sparse, H, H2, rank = certified
+    powers, echelon, rank = certified
     n = F.nvars
-    identity = Matrix.identity(n)
     if rank == n - 1:
-        return (identity,)
-    exact = [solve_matrix(Matrix(tuple(map(tuple, H)), 1, n), Matrix(tuple(map(tuple, H2)), 1, n))]
+        return (Matrix.identity(n),)
+    return _modular_pencil_basis(F, powers, echelon) or _exact_pencil_basis(F)
+
+
+def _modular_pencil_basis(F: SymForm, powers: Sequence, echelon) -> tuple[Matrix, ...] | None:
+    """g_F from the sketch (see the module docstring): I and
+    sum_k a_k M^k mod P for each kernel vector a of the sketch's reduced
+    echelon form, reduced mod P with the columns reversed, every entry
+    reconstructed as a fraction, every matrix tested on F. None when an
+    entry does not reconstruct or a matrix does not symmetrize F."""
+    n = F.nvars
+    # entry t of every power, t from the last: the columns reversed
+    entries = list(zip(*(list(chain.from_iterable(T))[::-1] for T in powers)))
+    gens = [Matrix.identity(n).flat_ints()]  # the same reversed
+    for a in kernel_mod_p(echelon, n - 1):
+        gens.append([sum(map(mul, a, e)) for e in entries])
+    reduced = rref_mod_p(gens, n * n)
+    if len(reduced) != len(gens):
+        raise InvariantError("pencil powers dependent mod P under certificate B")
+    basis = []
+    for _, row in reversed(reduced):
+        rational = rational_row_mod_p(row[::-1])
+        if rational is None:
+            return None
+        g = _square(*rational, n)
+        if symmetry_violation(F, g) is not None:
+            return None
+        basis.append(g)
+    return tuple(basis)
+
+
+def _exact_pencil_basis(F: SymForm) -> tuple[Matrix, ...]:
+    """g_F from the exact kernel of R over the exact powers of M = H⁻¹H′,
+    for a form that passes certificates A and B: the fallback when the
+    sketch's basis is refused."""
+    n, K = F.nvars, F.hessian_table[1]
+    H, H2 = (Matrix(tuple(map(tuple, T)), 1, n) for T in _pencil_pair(F))
+    exact = [solve_matrix(H, H2)]
     while len(exact) < n - 1:
         exact.append(exact[-1] * exact[0])
-    R = Matrix(tuple(map(tuple, _pencil_rows(sparse, [T.ints for T in exact], n))), 1, n - 1)
+    slices = [_sparse([row[b:b + n] for row in K]) for b in range(0, len(K[0]), n)]
+    R = Matrix(tuple(map(tuple, _pencil_rows(slices, [T.ints for T in exact], n))), 1, n - 1)
     entries = list(zip(*(T.flat_ints() for T in exact)))  # entry t of every power
-    gens = [identity.flat_ints()]
+    gens = [Matrix.identity(n).flat_ints()]
     for _, c in integer_nullspace(R):
         gens.append([sum(map(mul, c, e)) for e in entries])
     return tuple(_square(den, row, n) for den, row in free_column_basis(gens, n * n))
@@ -725,13 +809,13 @@ def fiber_invariance_check(
     algebras agree when every basis element of g_F symmetrizes F^g and
     dim g_{F^g} ≤ dim g_F. The bound is read off the Hessian pencil of
     F^g's own table: when certificates A and B hold there, dim g_{F^g}
-    ≤ n − rank R^g mod P, from n − 1 columns. (H^g_beta = g^T H_beta
-    gives M^g = M, so they hold whenever they hold for F and det g is a
-    unit mod P.) Only when a certificate fails or that bound exceeds
-    dim g_F are the n²-wide constraint rows of F^g ranked mod P, asking
-    for rank ≥ n² − dim g_F; when that also falls short, or the
-    inclusion fails, g_{F^g} is the exact null space of those rows, and
-    is compared."""
+    ≤ n − rank of the sketch of R^g mod P, from n − 1 columns.
+    (H^g_beta = g^T H_beta gives M^g = M, so they hold whenever they
+    hold for F and det g is a unit mod P.) Only when a certificate fails
+    or that bound exceeds dim g_F are the n²-wide constraint rows of F^g
+    ranked mod P, asking for rank ≥ n² − dim g_F; when that also falls
+    short, or the inclusion fails, g_{F^g} is the exact null space of
+    those rows, and is compared."""
     witness = symmetry_violation(F, g)
     if witness is not None:
         raise NotASymmetrizerError(*witness)

@@ -26,7 +26,11 @@ nonzero (r × r) minor exactly when their rank is at least r, and a minor
 nonzero mod P is nonzero, so `rank_mod_p` reaching a bound proves it
 (the certificate of Dixon's modular method). It falls short only when P
 divides every such minor; callers then run the exact elimination, so no
-answer depends on P.
+answer depends on P. `rref_mod_p` and `kernel_mod_p` give the reduced
+echelon form and a kernel basis mod P, and `rational_mod_p` reads a
+residue back as the one fraction with numerator and denominator at most
+√(P/2), when there is one. A reconstructed value is only a candidate:
+callers check it exactly and fall back to the exact elimination.
 
 The same prime gives a second certificate, in `jordan_chevalley`: a
 minimal polynomial that `polys.squarefree_mod_p` proves squarefree shows
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -231,11 +235,10 @@ def _beside(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(ints, A.den * B.den, A.ncols + B.ncols)
 
 
-def rank_mod_p(int_rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank mod P of integer rows of width ncols: a lower bound on their
-    rank over the rationals (see the module docstring)."""
-    # (c, row): the row is 0 before column c, 1 at c, and 0 at the columns
-    # of the earlier pivots, so reducing in this order refills no column
+def _echelon_mod_p(int_rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """(c, row) per pivot in the order found: the row is 0 before column c,
+    1 at c, and 0 at the columns of the earlier pivots, so reducing in this
+    order refills no column. Stops at rank ncols, so lazy rows stop too."""
     pivots: list[tuple[int, list[int]]] = []
     for row in int_rows:
         row = [x % P for x in row]
@@ -249,7 +252,79 @@ def rank_mod_p(int_rows: Sequence[Sequence[int]], ncols: int) -> int:
             pivots.append((c, [x * inv % P for x in row]))
             if len(pivots) == ncols:
                 break
-    return len(pivots)
+    return pivots
+
+
+def rank_mod_p(int_rows: Iterable[Sequence[int]], ncols: int) -> int:
+    """Rank mod P of integer rows of width ncols: a lower bound on their
+    rank over the rationals (see the module docstring)."""
+    return len(_echelon_mod_p(int_rows, ncols))
+
+
+def rref_mod_p(int_rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """The reduced row echelon form mod P of integer rows: (c, row) per
+    pivot in ascending column order, the row 0 before c, 1 at c and 0 at
+    every other pivot column. Its length is `rank_mod_p`'s rank."""
+    pivots = sorted(_echelon_mod_p(int_rows, ncols))
+    # clear each pivot column from the rows above it, last pivot first: the
+    # clearing row is then 0 at every other pivot column already
+    for i in reversed(range(len(pivots))):
+        c, prow = pivots[i]
+        for _, row in pivots[:i]:
+            f = row[c]
+            if f:
+                row[c:] = [(x - f * y) % P for x, y in zip(row[c:], prow[c:])]
+    return pivots
+
+
+def kernel_mod_p(echelon: Sequence[tuple[int, Sequence[int]]], ncols: int) -> list[list[int]]:
+    """A basis mod P of the kernel of a reduced echelon form (`rref_mod_p`):
+    per free column f, ascending, the vector 1 at f and −row[f] at the
+    pivot column of each row."""
+    pivot_set = {c for c, _ in echelon}
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = [0] * ncols
+            v[f] = 1
+            for c, row in echelon:
+                v[c] = -row[f] % P
+            basis.append(v)
+    return basis
+
+
+# |num| and den at most this: 2·_HALF² < P, so at most one such fraction
+# is congruent to a given residue (Wang, Guy and Davenport)
+_HALF = isqrt(P // 2)
+
+
+def rational_mod_p(a: int) -> tuple[int, int] | None:
+    """(num, den) in lowest terms with num ≡ a·den mod P, |num| ≤ √(P/2)
+    and 0 < den ≤ √(P/2), or None when no such fraction exists: the
+    first remainder of the extended Euclidean algorithm on (P, a) within
+    the bound, with its cofactor. 0 gives 0/1 and 1 gives 1/1."""
+    r0, r1, s0, s1 = P, a % P, 0, 1
+    while r1 > _HALF:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > _HALF or gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def rational_row_mod_p(row: Sequence[int]) -> tuple[int, list[int]] | None:
+    """(den, ints) with every entry of the row reconstructed as ints[i] / den
+    (`rational_mod_p`), den the lcm of the denominators; None when an entry
+    has no fraction within the bound."""
+    fracs = []
+    for x in row:
+        # a residue within the bound is its own numerator over 1
+        f = (x, 1) if 0 <= x <= _HALF else rational_mod_p(x)
+        if f is None:
+            return None
+        fracs.append(f)
+    den = lcm(*(v for _, v in fracs))
+    return den, [u * (den // v) for u, v in fracs]
 
 
 def solve_mod_p(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]] | None:

@@ -7,9 +7,10 @@ from dataclasses import replace
 from fractions import Fraction as Q
 from functools import reduce
 from operator import mul
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -502,16 +503,70 @@ def generated_forms(draw):
     return F
 
 
+def pencil_route(F: SymForm) -> tuple[str, tuple[Matrix, ...] | None]:
+    """(route, `_pencil_basis(F)`), the route one of "certificate failed",
+    "rank n - 1" (the sketch proves g_F = <I>), "modular" (read off the
+    sketch mod P and checked) and "exact fallback" (the modular basis
+    refused, the exact kernel of R taken)."""
+    ran = []
+    modular, exact = algebra._modular_pencil_basis, algebra._exact_pencil_basis
+    with patch.object(algebra, "_modular_pencil_basis",
+                      lambda *a: ran.append("modular") or modular(*a)), \
+         patch.object(algebra, "_exact_pencil_basis",
+                      lambda *a: ran.append("exact fallback") or exact(*a)):
+        basis = algebra._pencil_basis(F)
+    if basis is None:
+        return "certificate failed", None
+    return (ran[-1] if ran else "rank n - 1"), basis
+
+
 class TestPencilRoute:
     """g_F read off Q[H⁻¹H′] equals the exact null space of the constraint
-    system, and each failed certificate falls back to that null space."""
+    system, on the modular route and on its exact fallback, and each
+    failed certificate falls back to that null space."""
 
     @given(generated_forms())
     @settings(REPORT_AS_DRAWN, max_examples=60)
     def test_basis_equals_the_exact_nullspace(self, F):
         expected = oracle_basis(F)
         assert symmetrizer_algebra(F).basis == expected
-        assert algebra._pencil_basis(F) in (None, expected)
+        route, basis = pencil_route(F)
+        event(route)
+        assert route == "certificate failed" or basis == expected
+
+    def test_entries_past_the_reconstruction_bound_take_the_exact_route(self):
+        T = Matrix.from_rows([[1, 0, 0], [10**12 + 39, 1, 0], [10**12 - 11, 10**12 + 7, 1]])
+        F = compose_linear(FERMAT3, T)
+        route, basis = pencil_route(F)
+        assert route == "exact fallback" and basis == oracle_basis(F)
+        assert any(
+            max(abs(e.numerator), e.denominator) > linalg._HALF for b in basis for e in b.flatten()
+        )
+
+    def test_a_sketch_that_loses_rank_takes_the_exact_route(self, monkeypatch):
+        # c = 1 gives H, whose pencil rows are zero: the sketch has rank 0
+        monkeypatch.setattr(algebra, "SKETCH", (1,))
+        F = generate(GeneratorSpec(kind="st_sum", nvars=5, degree=3, seed=1, blocks=(2, 3)))
+        assert algebra._pencil_certificates(F)[-1] == 0
+        route, basis = pencil_route(F)
+        assert route == "exact fallback" and basis == oracle_basis(F)
+        assert len(basis) < F.nvars  # so the rank-0 sketch offered too many
+
+    def test_a_reconstruction_off_by_one_is_caught_by_the_exact_check(self, monkeypatch):
+        F = generate(GeneratorSpec(kind="st_sum", nvars=4, degree=3, seed=1, blocks=(2, 2)))
+        assert pencil_route(F)[0] == "modular"
+        reconstruct, mutated = algebra.rational_row_mod_p, []
+
+        def off_by_one(row):
+            den, ints = reconstruct(row)
+            if not mutated:  # entry (0, 1) of the first element, plus one
+                mutated.append(ints[1])
+                ints = [ints[0], ints[1] + den] + ints[2:]
+            return den, ints
+
+        monkeypatch.setattr(algebra, "rational_row_mod_p", off_by_one)
+        route, basis = pencil_route(F)
+        assert mutated and route == "exact fallback" and basis == oracle_basis(F)
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec(kind="random", nvars=8, degree=3, seed=1),

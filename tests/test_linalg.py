@@ -17,12 +17,16 @@ from symmetrizer.linalg import (
     integer_row,
     is_invertible,
     jordan_chevalley,
+    kernel_mod_p,
     minimal_polynomial,
     nilpotency_index,
     nullspace,
     poly_at_matrix,
     rank_mod_p,
+    rational_mod_p,
+    rational_row_mod_p,
     rref,
+    rref_mod_p,
     solve,
     solve_matrix,
     solve_mod_p,
@@ -792,6 +796,55 @@ class TestModularCertificates:
         assert rank_mod_p([], 3) == 0
         assert rank_mod_p([[0, 0], [P, 2 * P]], 2) == 0
         assert rank_mod_p([[1, 2], [3, 4], [5, 6]], 2) == 2
+
+    @given(st.one_of(rational_matrices(), modular_matrices()))
+    @settings(deadline=None, max_examples=200)
+    def test_rref_mod_p_is_the_reduced_echelon_of_the_rows_mod_p(self, A):
+        rows = int_rows(A)
+        echelon = rref_mod_p(rows, A.ncols)
+        pivots = [c for c, _ in echelon]
+        assert len(echelon) == rank_mod_p(rows, A.ncols) and pivots == sorted(set(pivots))
+        for c, row in echelon:
+            assert not any(row[:c]) and [row[q] for q in pivots] == [int(q == c) for q in pivots]
+        # each input row is its pivot entries times the echelon rows, mod P
+        for x in rows:
+            combo = [sum(x[c] * row[t] for c, row in echelon) for t in range(A.ncols)]
+            assert all((a - b) % P == 0 for a, b in zip(x, combo))
+        kernel = kernel_mod_p(echelon, A.ncols)
+        assert len(kernel) == A.ncols - len(echelon)
+        for v in kernel:
+            assert all(sum(map(lambda a, b: a * b, x, v)) % P == 0 for x in rows)
+
+    def test_rref_mod_p_stops_at_full_rank(self):
+        rows = iter([[2, 4], [1, 3], "never read"])
+        assert rref_mod_p(rows, 2) == [(0, [1, 0]), (1, [0, 1])]
+        assert rref_mod_p([[0, 0], [P, 2 * P]], 2) == [] and kernel_mod_p([], 2) == [[1, 0], [0, 1]]
+
+    @given(st.integers(-linalg._HALF, linalg._HALF), st.integers(1, linalg._HALF))
+    @settings(deadline=None, max_examples=300)
+    def test_rational_mod_p_recovers_every_fraction_within_the_bound(self, u, v):
+        g = gcd(u, v)
+        assert rational_mod_p(u * pow(v, -1, P)) == (u // g, v // g)
+
+    @given(st.integers(0, P - 1))
+    @settings(deadline=None, max_examples=300)
+    def test_rational_mod_p_returns_a_fraction_within_the_bound_or_none(self, a):
+        got = rational_mod_p(a)
+        if got is not None:
+            num, den = got
+            assert abs(num) <= linalg._HALF and 0 < den <= linalg._HALF and gcd(num, den) == 1
+            assert (num - a * den) % P == 0
+
+    def test_rational_mod_p_past_the_bound(self):
+        assert 2 * linalg._HALF**2 < P < 2 * (linalg._HALF + 1) ** 2
+        assert rational_mod_p(0) == (0, 1) and rational_mod_p(1) == (1, 1)
+        assert rational_mod_p(P - 1) == (-1, 1)
+        # an integer past the bound reads as another fraction, or as none
+        assert rational_mod_p(10**12) == (628412633, 500367933)
+        assert rational_mod_p(10**12 + 1) is None
+        third = pow(3, -1, P)
+        assert rational_row_mod_p([0, 1, 2 * third % P, -third % P]) == (3, [0, 3, 2, -1])
+        assert rational_row_mod_p([0, 10**12 + 1]) is None
 
     @given(st.data())
     @settings(deadline=None, max_examples=150)

@@ -1,13 +1,14 @@
 """Tooling contracts: every layer the benchmark's traced pass rebinds
 exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
-certificate fails, transport twists nothing and inverts one pivot block
-per source form, fiber membership is decided by one product with no
-reduction of a target's Jacobian, the generator composes no forms,
-parsing builds one Fraction per monomial of its result and printing a
-report matrix builds none, no small command line ends outside the
-documented exit codes, and a fixed set of command lines prints exactly
-the recorded golden outputs."""
+certificate fails, a certified census reads g_F off the sketch mod P
+with no exact solve, null space or kernel of ∂F, transport twists
+nothing and inverts one pivot block per source form, fiber membership
+is decided by one product with no reduction of a target's Jacobian, the
+generator composes no forms, parsing builds one Fraction per monomial
+of its result and printing a report matrix builds none, no small
+command line ends outside the documented exit codes, and a fixed set of
+command lines prints exactly the recorded golden outputs."""
 
 import contextlib
 import dataclasses
@@ -158,11 +159,60 @@ def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
         A = algebra.symmetrizer_algebra(F)
         assert counts["wide"] == 1
         fiber_reports(F, A)
-    # a rank of R^g mod P too low to bound dim g_{F^g} by dim g_F
+    # a sketch rank of R^g mod P too low to bound dim g_{F^g} by dim g_F
     A = algebra.symmetrizer_algebra(random_form)
     certified = algebra._pencil_certificates
     monkeypatch.setattr(algebra, "_pencil_certificates", lambda F: certified(F)[:-1] + (0,))
     fiber_reports(random_form, A)
+
+
+def test_a_census_chunk_reads_g_f_off_the_sketch_mod_p(monkeypatch):
+    """Over the 20-spec census chunk of the golden cases, `_pencil_basis`
+    makes no exact solve and takes no exact null space: g_F is read off
+    the sketch of R mod P, reconstructed and checked. Wherever
+    certificate A held, `symmetrizer_algebra` takes nondegeneracy from
+    it and computes no kernel of ∂F."""
+    stdin = next(c["stdin"] for c in GOLDEN_CASES if c["argv"] == ["census", "-"])
+    assert len(stdin.splitlines()) == 20
+    counts, inside, certified, kernels = Counter(), [0], [], []
+    pencil = algebra._pencil_basis
+
+    def counted_pencil(F):
+        inside[0] += 1
+        try:
+            basis = pencil(F)
+        finally:
+            inside[0] -= 1
+        certified.append(basis is not None)
+        return basis
+
+    def exact_inside_pencil(name, fn):
+        def wrapper(*args):
+            counts[name] += inside[0] > 0
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "_pencil_basis", counted_pencil)
+    for name in ("solve_matrix", "integer_nullspace"):
+        monkeypatch.setattr(algebra, name, exact_inside_pencil(name, getattr(algebra, name)))
+    kernel = vars(forms.SymForm)["jacobian_kernel"]
+    counted_kernel = functools.cached_property(counting(counts, "kernel", kernel.func))
+    counted_kernel.__set_name__(forms.SymForm, "jacobian_kernel")
+    monkeypatch.setattr(forms.SymForm, "jacobian_kernel", counted_kernel)
+    symmetrizer = corpus.symmetrizer_algebra
+
+    def counted_symmetrizer(F):
+        before = counts["kernel"]
+        A = symmetrizer(F)
+        kernels.append(counts["kernel"] - before)
+        return A
+
+    monkeypatch.setattr(corpus, "symmetrizer_algebra", counted_symmetrizer)
+    code, out, _ = invoke(["census", "-"], stdin)
+    assert code == 0 and len(out.splitlines()) == 20
+    assert len(certified) == len(kernels) == 20 and all(certified)
+    assert counts["solve_matrix"] == counts["integer_nullspace"] == 0
+    assert kernels == [0] * 20
 
 
 def test_transport_twists_nothing_and_inverts_one_block_per_form(monkeypatch):
