@@ -31,19 +31,33 @@ Q, and dim g_F <= n - rank R_c. Rank n - 1 proves g_F = <I> with no
 exact elimination. Otherwise the kernel of R_c mod P, with I, gives
 n - rank R_c elements sum_k a_k M^k mod P, independent by (B); their
 reduced echelon form mod P with the columns reversed (the order of
-`free_column_basis`) is reconstructed entry by entry as fractions with
-|num|, den <= sqrt(P/2) (Wang, Guy and Davenport), and each matrix must
-pass the exact integer test `symmetry_violation`. Those that pass lie in
-g_F; reconstruction keeps every 0 and 1, so they are still in reduced
-echelon form, with distinct pivots, and independent; they number
-n - rank R_c >= dim g_F, so they are a basis of g_F. A space has one
-reduced echelon basis, so they are exactly the basis
-`nullspace(constraint_matrix(F))` gives. When an entry does not
+`PivotBasis(..., last=True)`) is reconstructed entry by entry as
+fractions with |num|, den <= sqrt(P/2) (Wang, Guy and Davenport), and
+each matrix must pass the exact integer test `symmetry_violation`.
+Those that pass lie in g_F; reconstruction keeps every 0 and 1, so they
+are still in reduced echelon form, with distinct pivots, and
+independent; they number n - rank R_c >= dim g_F, so they are a basis
+of g_F. A space has one reduced echelon basis, so they are exactly the
+basis `nullspace(constraint_matrix(F))` gives. When an entry does not
 reconstruct or a test fails, the exact kernel of R over the exact
 powers of M gives g_F. Under (A), F is nondegenerate: H u = 0 for every
 u in Ker ∂F, and H is invertible. When (A) or (B) fails (cones, forms
 with a vanishing Hessian, a derogatory M), g_F is the exact null space
 of `constraint_matrix`, which gives the same canonical basis.
+
+So every basis `symmetrizer_algebra` returns is in free-column shape,
+the reduced echelon form with the columns reversed: each element b is 1
+at its free column c_b, its last nonzero entry, and 0 at every other
+element's free column. Then g = sum_b a_b b forces a_b = g[c_b], and g
+is in g_F exactly when g - sum_b g[c_b] b = 0, one integer pass with no
+elimination (`SymmetrizerAlgebra.contains`, by `linalg.PivotBasis`).
+The algebra puts its basis in that shape once, which finds nothing to
+eliminate in a basis `symmetrizer_algebra` built and canonicalizes any
+other; a space has one such basis, so its length is the dimension and
+equality with `integer_nullspace`'s basis is equality of spans. The
+trace-form radical below is kept in reduced echelon form, and
+`nilpotent_report` reads coordinates over it at its pivot columns and
+checks the residue the same way.
 
 The fiber check needs only a bound on dim g_{F^g}, and reads it off the
 pencil of F^g's own table with the same certificates
@@ -102,9 +116,9 @@ from .forms import (
 from .linalg import (
     InvariantError,
     Matrix,
+    PivotBasis,
     Span,
     Vec,
-    free_column_basis,
     integer_nullspace,
     is_invertible,
     jordan_chevalley,
@@ -186,12 +200,22 @@ class SymmetrizerAlgebra:
         return self.dim_torus is not None
 
     @cached_property
-    def span(self) -> Span:
-        """The basis's span, built once, when `symmetrizer_algebra` checks I."""
-        return Span([b.flat_ints() for b in self.basis], self.form.nvars**2)
+    def _canonical(self) -> PivotBasis:
+        """The basis's span over its free-column basis (see the module
+        docstring): the basis itself when `symmetrizer_algebra` built it."""
+        return PivotBasis([b.flat_ints() for b in self.basis], self.form.nvars**2, last=True)
+
+    @property
+    def dim(self) -> int:
+        return len(self._canonical.pivots)
 
     def contains(self, g: Matrix) -> bool:
-        return self.span.contains(g.flat_ints())
+        return self._canonical.coordinates(g.flat_ints()) is not None
+
+    def spans_kernel(self, kernel: Sequence[tuple[int, list[int]]]) -> bool:
+        """Whether the basis spans the space with the `integer_nullspace`
+        basis `kernel`: a space has one free-column basis."""
+        return self._canonical.basis == kernel
 
     @cached_property
     def semisimple_parts(self) -> tuple[Matrix, ...] | None:
@@ -272,16 +296,23 @@ SKETCH = (2, 3)
 
 def _slice_sums(F: SymForm, weights: Sequence[Sequence[int]]) -> list[list[list[int]]]:
     """sum_b w[b]·H_b over the slices b of F's Hessian table, one integer
-    matrix per weight sequence w."""
+    matrix per weight sequence w, in one pass over the table's rows."""
     n, K = F.nvars, F.hessian_table[1]
-    # column b·n + l of table row j is H_b[j][l], so row[l::n] runs over b
-    return [[[sum(map(mul, w, row[l::n])) for l in range(n)] for row in K] for w in weights]
+    sums = [[[0] * n for _ in K] for _ in weights]
+    for j, row in enumerate(K):
+        for l in range(n):
+            # column b·n + l of table row j is H_b[j][l], so row[l::n] runs over b
+            segment = row[l::n]
+            if any(segment):
+                for S, w in zip(sums, weights):
+                    S[j][l] = sum(map(mul, w, segment))
+    return sums
 
 
-def _pencil_pair(F: SymForm) -> list[list[list[int]]]:
-    """[H, H′]: H = sum_b H_b and H′ = sum_b (b + 1) H_b."""
-    m = len(F.hessian_table[1][0]) // F.nvars
-    return _slice_sums(F, [(1,) * m, range(1, m + 1)])
+def _pencil_weights(m: int) -> list[Sequence[int]]:
+    """The weights of H = sum_b H_b, H′ = sum_b (b + 1) H_b and the
+    sketch's slices H_c = sum_b c^b H_b over m slices."""
+    return [(1,) * m, range(1, m + 1)] + [[c**b for b in range(m)] for c in SKETCH]
 
 
 def _sparse(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
@@ -296,7 +327,8 @@ def _pencil_certificates(F: SymForm) -> tuple[list, list, int] | None:
     its rank), or None when A or B fails. When they hold,
     dim g_F = n − rank R over Q ≤ n − rank."""
     n = F.nvars
-    M = solve_mod_p(*_pencil_pair(F))
+    H, H2, *sketch = _slice_sums(F, _pencil_weights(len(F.hessian_table[1][0]) // n))
+    M = solve_mod_p(H, H2)
     if M is None:  # certificate A: H is invertible
         return None
     powers = [M] if n > 1 else []  # M^1, ..., M^(n-1) mod P
@@ -310,8 +342,6 @@ def _pencil_certificates(F: SymForm) -> tuple[list, list, int] | None:
         flats = [Matrix.identity(n).flat_ints()] + [list(chain.from_iterable(T)) for T in powers]
         if rank_mod_p(flats, n * n) < n:
             return None
-    m = len(F.hessian_table[1][0]) // n
-    sketch = _slice_sums(F, [[c**b for b in range(m)] for c in SKETCH])
     echelon = rref_mod_p(_pencil_rows(map(_sparse, sketch), powers, n), n - 1)
     return powers, echelon, len(echelon)
 
@@ -364,7 +394,8 @@ def _exact_pencil_basis(F: SymForm) -> tuple[Matrix, ...]:
     for a form that passes certificates A and B: the fallback when the
     sketch's basis is refused."""
     n, K = F.nvars, F.hessian_table[1]
-    H, H2 = (Matrix(tuple(map(tuple, T)), 1, n) for T in _pencil_pair(F))
+    pair = _slice_sums(F, _pencil_weights(len(K[0]) // n)[:2])
+    H, H2 = (Matrix(tuple(map(tuple, T)), 1, n) for T in pair)
     exact = [solve_matrix(H, H2)]
     while len(exact) < n - 1:
         exact.append(exact[-1] * exact[0])
@@ -374,7 +405,7 @@ def _exact_pencil_basis(F: SymForm) -> tuple[Matrix, ...]:
     gens = [Matrix.identity(n).flat_ints()]
     for _, c in integer_nullspace(R):
         gens.append([sum(map(mul, c, e)) for e in entries])
-    return tuple(_square(den, row, n) for den, row in free_column_basis(gens, n * n))
+    return tuple(_square(den, row, n) for den, row in PivotBasis(gens, n * n, last=True).basis)
 
 
 def _square(den: int, flat: Sequence[int], n: int) -> Matrix:
@@ -436,7 +467,7 @@ def _trace_form_radical(basis: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
     combos = []
     for _, c in integer_nullspace(Matrix(gram, 1, m)):
         combos.append([sum(map(mul, c, e)) for e in entries])
-    return tuple(Matrix.from_flat(n, v) for v in Span(combos, n * n).basis)
+    return tuple(_square(den, row, n) for den, row in PivotBasis(combos, n * n).basis)
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +698,19 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
         )
     F = A.form
     n, d = F.nvars, F.degree
-    unip = A.unipotent_basis
-    unip_span = Span([u.flat_ints() for u in unip], n * n)
+    # the radical's rref basis, which `_trace_form_radical` returns: each
+    # u is 1 at its pivot and 0 at the others', so h's coordinates are
+    # its entries there, and the residue decides membership
+    U = PivotBasis([u.flat_ints() for u in A.unipotent_basis], n * n)
+    unip = tuple(_square(den, row, n) for den, row in U.basis)
     classes: dict[Vec, SquareZeroClass] = {}
 
     def register(h: Matrix, coeffs: Vec | None = None):
         if coeffs is None:
-            coeffs = unip_span.coordinates(h.flatten())
-            if coeffs is None:
+            ints = U.coordinates(h.flat_ints())
+            if ints is None:
                 raise InvariantError("square-zero element left the unipotent part")
+            coeffs = tuple(Fraction(x, h.den) for x in ints)
         lead = next((c for c in coeffs if c != 0), None)
         if lead is None:
             raise InvariantError("zero element offered as a square-zero class")
@@ -685,7 +720,7 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
         hn = (Fraction(1) / lead) * h
         if not (hn * hn).is_zero:
             raise InvariantError("square-zero candidate fails h^2 = 0")
-        image = Span(hn.transpose().ints, n).basis
+        image = [row for _, row in PivotBasis(hn.transpose().ints, n).basis]
         points = []
         for v in image:
             pt = ProjectivePoint.from_vector(v)
@@ -825,7 +860,7 @@ def fiber_invariance_check(
     Fg = twisted if twisted is not None else twist(F, g, check=False)
 
     A = algebra if algebra is not None else symmetrizer_algebra(F)
-    nn, dim = n * n, A.span.dim
+    nn, dim = n * n, A.dim
     included = all(symmetry_violation(Fg, b) is None for b in A.basis)
     certified = _pencil_certificates(Fg) if included else None
     if certified is not None and n - certified[-1] <= dim:
@@ -834,7 +869,7 @@ def fiber_invariance_check(
         C = constraint_matrix(Fg)
         algebra_match = (
             included and rank_mod_p(C.ints, nn) >= nn - dim
-        ) or A.span == Span([v for _, v in integer_nullspace(C)], nn)
+        ) or A.spans_kernel(integer_nullspace(C))
 
     kernel_F = jacobian_kernel(F)
     if kernel_F:

@@ -20,6 +20,7 @@ from .forms import (
     alpha_factorial,
     enumerate_monomials,
     is_nondegenerate,
+    monomial_count,
     monomial_index,
     symmetry_violation,
 )
@@ -99,21 +100,27 @@ def _form_space(h: Matrix, degree: int) -> list[tuple[int, list[int]]]:
     integer row over the one denominator h.den * d!.
     """
     n, d = h.nrows, degree
-    monos = enumerate_monomials(n, d)
+    width = monomial_count(n, d)
     index = monomial_index(n, d)
+    # the nonzero entries h[k][i] of each column i
+    columns = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*h.ints)]
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
+            if not columns[i] and not columns[j]:
+                continue  # every row of the pair is zero
             for beta in enumerate_monomials(n, d - 2):
-                row = [0] * len(monos)
-                for k in range(n):
-                    # h[k][i] F(e_k, e_j, e^beta) - h[k][j] F(e_k, e_i, e^beta)
-                    for col, other, sign in ((i, j, 1), (j, i, -1)):
-                        if h.ints[k][col]:
-                            alpha = tuple(b + (t == k) + (t == other) for t, b in enumerate(beta))
-                            row[index[alpha]] += sign * h.ints[k][col] * alpha_factorial(alpha)
+                row = [0] * width
+                # h[k][i] F(e_k, e_j, e^beta) - h[k][j] F(e_k, e_i, e^beta)
+                for entries, other, sign in ((columns[i], j, 1), (columns[j], i, -1)):
+                    for k, x in entries:
+                        alpha = list(beta)
+                        alpha[k] += 1
+                        alpha[other] += 1
+                        alpha = tuple(alpha)
+                        row[index[alpha]] += sign * x * alpha_factorial(alpha)
                 rows.append(tuple(row))
-    return integer_nullspace(Matrix(tuple(rows), h.den * factorial(d), len(monos)))
+    return integer_nullspace(Matrix(tuple(rows), h.den * factorial(d), width))
 
 
 def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:

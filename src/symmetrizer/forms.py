@@ -25,8 +25,9 @@ The table answers Ker(∂F) too. Row i of the table, (H_beta[i][j]) over
 all beta and j, holds F(e_i, e^gamma) with gamma = beta + e_j: row i of
 the Jacobian with each column scaled by the positive factor
 gamma!/(d-1)! and some columns repeated. So its left kernel is Ker(∂F);
-rank n mod P proves that zero, and otherwise the exact null space of
-the table's transpose is the one of J^T, since both transposes have the
+rank n mod P of the table's own n rows proves that zero (a matrix has
+the rank of its transpose), and otherwise the exact null space of the
+table's transpose is the one of J^T, since both transposes have the
 row space Ker(∂F)^⊥ and the rref depends only on the row space. The
 Jacobian matrix and the inverse of its block on the pivot columns,
 cached on the form, serve transport, which compares Jacobian images by
@@ -118,6 +119,26 @@ def monomial_index(nvars: int, degree: int) -> dict[Exponents, int]:
 
 def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
+
+
+@lru_cache(maxsize=None)
+def _table_cells(alpha: Exponents) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(alpha!, cells): the (k, b·n + j) cells of the Hessian table that
+    hold the value of x^alpha, one per k, j in its support with
+    alpha - e_k - e_j = beta, the b-th degree-(d-2) monomial. Built once
+    per monomial, like `monomial_index` once per shape."""
+    n = len(alpha)
+    index = monomial_index(n, sum(alpha) - 2)
+    support = [i for i, e in enumerate(alpha) if e]
+    cells = []
+    for k in support:
+        for j in support:
+            beta = list(alpha)
+            beta[k] -= 1
+            beta[j] -= 1
+            if beta[j] >= 0:  # k == j needs alpha[k] >= 2
+                cells.append((k, index[tuple(beta)] * n + j))
+    return alpha_factorial(alpha), tuple(cells)
 
 
 def monomial_slots(alpha: Exponents) -> tuple[int, ...]:
@@ -254,25 +275,22 @@ class SymForm:
         coefficient denominators, every value is the integer N = c·L·alpha!.
         Dividing D and every N by their gcd g leaves den = D/g, which is the
         lcm of the values' reduced denominators D/gcd(D, N), with no
-        Fraction built."""
+        Fraction built. Each term's alpha! and cells come from
+        `_table_cells`, planned once per monomial."""
         n, d = self.nvars, self.degree
-        index = monomial_index(n, d - 2)
         lc = lcm(*(c.denominator for _, c in self.terms))
-        nums = [c.numerator * (lc // c.denominator) * alpha_factorial(a) for a, c in self.terms]
+        plans = [_table_cells(alpha) for alpha, _ in self.terms]
+        nums = [
+            c.numerator * (lc // c.denominator) * f for (_, c), (f, _) in zip(self.terms, plans)
+        ]
         D = lc * factorial(d)
         g = gcd(D, *nums)
         den = D // g
-        K = [[0] * (len(index) * n) for _ in range(n)]
-        for (alpha, _), v in zip(self.terms, nums):
+        K = [[0] * (monomial_count(n, d - 2) * n) for _ in range(n)]
+        for (_, cells), v in zip(plans, nums):
             v //= g
-            support = [i for i, e in enumerate(alpha) if e]
-            for k in support:
-                for j in support:
-                    beta = list(alpha)
-                    beta[k] -= 1
-                    beta[j] -= 1
-                    if beta[j] >= 0:  # k == j needs alpha[k] >= 2
-                        K[k][index[tuple(beta)] * n + j] = v
+            for k, col in cells:
+                K[k][col] = v
         return den, tuple(map(tuple, K))
 
     @cached_property
@@ -282,11 +300,12 @@ class SymForm:
         null space. Forms of degree below 2 have no table."""
         if self.degree < 2:
             raise ValueError("the kernel of ∂F is read off the Hessian table: need degree >= 2")
-        n = self.nvars
-        # column b·n + j of the table is column j of H_b, so its row j
-        rows = tuple(c for c in zip(*self.hessian_table[1]) if any(c))
-        if rank_mod_p(rows, n) == n:
+        n, K = self.nvars, self.hessian_table[1]
+        # K and its transpose have one rank; the kernel is the transpose's
+        if rank_mod_p(K, len(K[0])) == n:
             return ()
+        # column b·n + j of the table is column j of H_b, so its row j
+        rows = tuple(c for c in zip(*K) if any(c))
         return tuple(nullspace(Matrix(rows, 1, n)))
 
     @cached_property

@@ -14,12 +14,14 @@ dividing every updated row by its gcd; the rref's denominator is the lcm
 of the pivots. By Cramer's rule every row at every step is a rational
 multiple of a vector of minors of the input; being primitive, it is that
 vector divided by its gcd, so no entry exceeds the largest minor of
-order at most rank+1, Bareiss's bound. `Span`, the one subspace type,
-keeps its rows primitive with a positive pivot: the one such multiple of
-an rref row, so equal spans have equal rows. `minimal_polynomial` reduces
-the Krylov rows den·[flat(A^k) | e_k], den the denominator of A^k, so each
-tail counts multiples of A^k itself and a row whose matrix part reduces
-to zero holds the relation in its tail.
+order at most rank+1, Bareiss's bound. `PivotBasis` keeps its rows
+primitive with a positive pivot: the one such multiple of an rref row,
+so equal spans have equal rows. Each row is then den at its own pivot
+and 0 at the others', which decides membership without elimination
+(see `PivotBasis`); `Span` is the same basis over rational vectors.
+`minimal_polynomial` reduces the Krylov rows den·[flat(A^k) | e_k], den
+the denominator of A^k, so each tail counts multiples of A^k itself and
+a row whose matrix part reduces to zero holds the relation in its tail.
 
 Rank lower bounds come from one fixed prime P. Integer rows have a
 nonzero (r × r) minor exactly when their rank is at least r, and a minor
@@ -416,7 +418,11 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 def integer_nullspace(M: Matrix) -> list[tuple[int, list[int]]]:
     """The basis `nullspace` returns, as (den, ints) pairs: each vector
     is ints / den, with ints primitive and equal to den at its free
-    column, so den is the lcm of the entries' denominators."""
+    column, so den is the lcm of the entries' denominators. Zero rows
+    are dropped first: they change neither the kernel nor the rref."""
+    nonzero = tuple(r for r in M.ints if any(r))
+    if len(nonzero) < M.nrows:
+        M = Matrix(nonzero, 1, M.ncols)
     red, pivots, _ = rref(M)
     pivot_set = set(pivots)
     basis = []
@@ -441,23 +447,57 @@ def nullspace(M: Matrix) -> list[Vec]:
     return [tuple(Fraction(x, den) for x in v) for den, v in integer_nullspace(M)]
 
 
-def free_column_basis(
-    vectors: Sequence[Sequence[int]], ncols: int
-) -> list[tuple[int, Sequence[int]]]:
-    """The basis `nullspace` returns for the kernel that these integer
-    vectors span, as (den, ints) pairs in ascending free-column order.
+class PivotBasis:
+    """The canonical basis of the span of integer vectors of width ncols,
+    as (den, ints) pairs, ints primitive and equal to den > 0 at its own
+    pivot column c_b and 0 at every other element's: the rref rows, c_b
+    the first nonzero entry, or with `last` the rref rows of the reversed
+    columns, c_b the last nonzero entry. The c_b ascend.
 
-    A `nullspace` vector is 1 at its free column, 0 at the other free
-    columns, and otherwise nonzero only at pivot columns left of its own.
-    So with the columns reversed the vectors are the rref of the kernel,
-    which the echelon of any spanning family gives: each as a primitive
-    row over its positive pivot."""
-    rows, pivots = _echelon([v[::-1] for v in vectors], ncols)
-    out = []
-    for r in reversed(range(len(pivots))):
-        row, den = rows[r][::-1], rows[r][pivots[r]]
-        out.append((den, row) if den > 0 else (-den, [-x for x in row]))
-    return out
+    The `last` basis of a kernel is the one `nullspace` returns: a
+    `nullspace` vector is 1 at its free column, 0 at the other free
+    columns, and otherwise nonzero only at pivot columns left of its own,
+    so with the columns reversed those vectors are the kernel's rref,
+    which any spanning family gives.
+
+    A vector g of the span is then sum_b g[c_b]·b, since every other
+    element is 0 at c_b; so g lies in the span exactly when the residue
+    g − sum_b g[c_b]·b is zero, and its coordinates are its entries at
+    the pivots. Past the one elimination that builds the basis (which
+    finds nothing to eliminate in a family already in this shape),
+    membership and coordinates take one integer pass each."""
+
+    def __init__(self, vectors: Sequence[Sequence[int]], ncols: int, *, last: bool = False):
+        flip = (lambda v: v[::-1]) if last else (lambda v: v)
+        rows, pivots = _echelon([flip(v) for v in vectors], ncols)
+        order = reversed(range(len(pivots))) if last else range(len(pivots))
+        self.basis: list[tuple[int, list[int]]] = []
+        self.pivots: list[int] = []
+        for r in order:
+            den, row = rows[r][pivots[r]], list(flip(rows[r]))
+            self.basis.append((den, row) if den > 0 else (-den, [-x for x in row]))
+            self.pivots.append(ncols - 1 - pivots[r] if last else pivots[r])
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(L, rows): L the lcm of the denominators, rows[b] the nonzero
+        (t, entry) pairs of L·b."""
+        L = lcm(*(den for den, _ in self.basis))
+        rows = [[(t, x * (L // den)) for t, x in enumerate(row) if x] for den, row in self.basis]
+        return L, rows
+
+    def coordinates(self, v: Sequence[int]) -> list[int] | None:
+        """The integer vector v's entries at the pivots, when v lies in the
+        span (v / den has the coordinates [x / den] over `basis`, for any
+        den); None when it does not."""
+        L, rows = self._scaled
+        coords = [v[c] for c in self.pivots]
+        residue = [x * L for x in v]
+        for a, row in zip(coords, rows):
+            if a:
+                for t, x in row:
+                    residue[t] -= a * x
+        return None if any(residue) else coords
 
 
 def solve_matrix(M: Matrix, B: Matrix) -> Matrix | None:
@@ -481,40 +521,34 @@ def solve(M: Matrix, b: Vec) -> Vec | None:
 
 
 class Span:
-    """The span of a family of vectors of width ncols, reduced once to
-    canonical integer echelon rows (see the module docstring)."""
+    """The span of a family of rational vectors of width ncols, held by
+    its canonical rref basis (`PivotBasis`, see the module docstring)."""
 
     def __init__(self, vectors: Sequence[Sequence], ncols: int):
         if any(len(u) != ncols for u in vectors):
             raise ValueError("ragged rows")
         self.ncols = ncols
-        rows, pivots = _echelon([integer_row(v)[1] for v in vectors], ncols)
-        self._rows = [(r if r[c] > 0 else [-x for x in r], c) for r, c in zip(rows, pivots)]
+        self._canonical = PivotBasis([integer_row(v)[1] for v in vectors], ncols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Span) and (self.ncols, self._rows) == (other.ncols, other._rows)
+        return isinstance(other, Span) and (self.ncols, self._canonical.basis) == (
+            other.ncols, other._canonical.basis
+        )
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._canonical.pivots)
 
     @property
     def basis(self) -> list[Vec]:
         """The nonzero rref rows, as Fractions: the canonical basis."""
-        return [tuple(Fraction(x, row[c]) for x in row) for row, c in self._rows]
+        return [tuple(Fraction(x, den) for x in row) for den, row in self._canonical.basis]
 
     def contains(self, v: Sequence) -> bool:
         """Whether v (rational or integer entries) lies in the span."""
         if len(v) != self.ncols:
             raise ValueError("ragged rows")
-        return not any(_reduce(integer_row(v)[1], self._rows))
-
-    def coordinates(self, v: Sequence) -> Vec | None:
-        """v's coefficients over `basis` (1 at its own pivot, 0 at the
-        others): its entries at the pivot columns; None outside the span."""
-        if not self.contains(v):
-            return None
-        return vector(v[c] for _, c in self._rows)
+        return self._canonical.coordinates(integer_row(v)[1]) is not None
 
 
 def span_contains(vectors: Sequence[Vec], v: Vec) -> bool:

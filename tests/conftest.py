@@ -13,6 +13,10 @@ the reference for the one-pass tokenizer in `polytext`.
 table, the reference for the row-combination test in `forms`, and
 `oracle_recover` solves [J_F^T | J_Ft^T] and checks the result by a
 second twist, the reference for transport by F's pivot block.
+`oracle_hessian_table`, `oracle_table_kernel` and `oracle_form_space`
+are the table, the kernel of ∂F and the prescribed-nilpotent form space
+as the engine built them before it planned table cells once per
+monomial, ranked the table's own rows and skipped zero rows.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from symmetrizer.algebra import FiberMismatchError
 from symmetrizer.corpus import GeneratorSpec, generate
 from symmetrizer.forms import (
     SymForm,
+    alpha_factorial,
     check_size,
     enumerate_monomials,
     grassmann_point,
     jacobian_matrix,
+    monomial_index,
     monomial_slots,
     twist,
 )
@@ -42,6 +48,7 @@ from symmetrizer.linalg import (
     Vec,
     is_invertible,
     nullspace,
+    rank_mod_p,
     rref,
     solve_matrix,
 )
@@ -175,6 +182,67 @@ def hessian_slices(F: SymForm):
     den, K = F.hessian_table
     n = F.nvars
     return den, tuple(tuple(row[b:b + n] for row in K) for b in range(0, len(K[0]), n))
+
+
+def oracle_hessian_table(F: SymForm) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """`SymForm.hessian_table` placing each term on its own: every (k, j)
+    of its support, one index lookup of alpha - e_k - e_j each."""
+    n, d = F.nvars, F.degree
+    index = monomial_index(n, d - 2)
+    lc = math.lcm(*(c.denominator for _, c in F.terms))
+    nums = [c.numerator * (lc // c.denominator) * alpha_factorial(a) for a, c in F.terms]
+    D = lc * math.factorial(d)
+    g = math.gcd(D, *nums)
+    K = [[0] * (len(index) * n) for _ in range(n)]
+    for (alpha, _), v in zip(F.terms, nums):
+        support = [i for i, e in enumerate(alpha) if e]
+        for k in support:
+            for j in support:
+                beta = list(alpha)
+                beta[k] -= 1
+                beta[j] -= 1
+                if beta[j] >= 0:
+                    K[k][index[tuple(beta)] * n + j] = v // g
+    return D // g, tuple(map(tuple, K))
+
+
+def oracle_table_kernel(F: SymForm) -> tuple[Vec, ...]:
+    """`SymForm.jacobian_kernel` on the table's transpose: the nonzero
+    columns, ranked mod P, else their exact null space."""
+    rows = tuple(c for c in zip(*F.hessian_table[1]) if any(c))
+    if rank_mod_p(rows, F.nvars) == F.nvars:
+        return ()
+    return tuple(nullspace(Matrix(rows, 1, F.nvars)))
+
+
+def oracle_form_space(h: Matrix, degree: int) -> list[tuple[int, list[int]]]:
+    """`corpus._form_space` on dense rows: a row for every (i < j, beta),
+    zero rows too, each summing over every k."""
+    n, d = h.nrows, degree
+    monos = enumerate_monomials(n, d)
+    index = monomial_index(n, d)
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for beta in enumerate_monomials(n, d - 2):
+                row = [0] * len(monos)
+                for k in range(n):
+                    for col, other, sign in ((i, j, 1), (j, i, -1)):
+                        if h.ints[k][col]:
+                            alpha = tuple(b + (t == k) + (t == other) for t, b in enumerate(beta))
+                            row[index[alpha]] += sign * h.ints[k][col] * alpha_factorial(alpha)
+                rows.append(tuple(row))
+    # the kernel read off the rref of every row, as `integer_nullspace` did
+    red, pivots, _ = rref(Matrix(tuple(rows), 1, len(monos)))
+    basis = []
+    for free in (c for c in range(len(monos)) if c not in pivots):
+        v = [0] * len(monos)
+        v[free] = red.den
+        for r, p in enumerate(pivots):
+            v[p] = -red.ints[r][free]
+        g = math.gcd(*v)
+        basis.append((red.den // g, [x // g for x in v]))
+    return basis
 
 
 def oracle_symmetry_violation(F: SymForm, g: Matrix):

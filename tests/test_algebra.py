@@ -1,6 +1,7 @@
 """Symmetrizer algebra: splitting, block decomposition, square-zero search,
 fiber transport, identity checks."""
 
+import itertools
 import json
 import time
 from dataclasses import replace
@@ -19,11 +20,14 @@ from conftest import (
     MUTATION_FORMS,
     hessian_slices,
     off_by_one_twist,
+    oracle_hessian_table,
     oracle_recover,
+    oracle_table_kernel,
     same_span,
 )
 from test_evaluators import (
     REPORT_AS_DRAWN,
+    endomorphisms,
     forms,
     nonzero_rationals,
     oracle_embed_form,
@@ -83,20 +87,6 @@ class TestConstraintSystem:
         M = constraint_matrix(CUSP)
         assert M.nrows == 2
         assert M.ncols == 4
-
-    def test_span_is_handed_over(self, monkeypatch, golden_corpus):
-        built = []
-        init = Span.__init__
-        monkeypatch.setattr(
-            Span, "__init__", lambda span, *args: built.append(args) or init(span, *args)
-        )
-        for F in (WHITNEY, golden_corpus["cone_3_3"]):
-            A = symmetrizer_algebra(F)
-            built.clear()
-            assert A.contains(Matrix.identity(F.nvars)) and not built
-            # a copy spans its own basis
-            no_identity = replace(A, basis=A.basis[1:])
-            assert no_identity.span.dim == A.span.dim - 1 and len(built) == 1
 
     def test_nullspace_matches_membership(self):
         A = symmetrizer_algebra(WHITNEY)
@@ -455,6 +445,40 @@ class TestTraceFormSplit:
         with pytest.raises(InvariantError, match="left the algebra"):
             symmetrizer_algebra(WHITNEY).semisimple_parts
 
+    @pytest.mark.parametrize("outside", [
+        Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),  # square-zero, not in g_F
+        Matrix.identity(3),  # in g_F, not nilpotent
+        H_REGULAR_3 + Matrix.identity(3),
+    ])
+    def test_a_power_outside_the_unipotent_part_is_an_invariant_error(self, monkeypatch, outside):
+        A = symmetrizer_algebra(WHITNEY)
+        assert nilpotent_report(A).classes  # the real table registers its powers
+        table = algebra._power_table
+
+        def offering_one_more(unip, n):
+            max_index, last = table(unip, n)
+            return max_index, last + [outside]
+
+        monkeypatch.setattr(algebra, "_power_table", offering_one_more)
+        with pytest.raises(InvariantError, match="left the unipotent part"):
+            nilpotent_report(A)
+
+    @pytest.mark.parametrize("text", [
+        "x0^2*x2 + x0*x1^2",  # dim U = 2
+        "2*x0*x2*x3 + 2*x1*x3^2",  # dim U = 3
+    ])
+    @pytest.mark.parametrize("how", ["scaled", "reversed", "combined"])
+    def test_the_report_reads_the_radical_in_any_basis(self, text, how):
+        A = symmetrizer_algebra(parse_poly(text))
+        unip = list(A.unipotent_basis)
+        if how == "scaled":
+            unip = [Q(-2, 3) * unip[0], 3 * unip[1]] + unip[2:]
+        elif how == "reversed":
+            unip.reverse()
+        else:
+            unip[0] = unip[0] + unip[1]
+        assert nilpotent_report(replace(A, unipotent_basis=tuple(unip))) == nilpotent_report(A)
+
     def test_split_additivity_compares_the_radical_with_the_nilpotent_parts(self):
         A = symmetrizer_algebra(WHITNEY)
         h = A.unipotent_basis[0]
@@ -623,6 +647,100 @@ class TestPencilRoute:
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["dim_g"] == 1
         assert all(c["status"] != "fail" for c in report["checks"].values())
+
+
+def free_column_shape(basis) -> bool:
+    """Whether each element is 1 at its last nonzero entry c_b, the c_b
+    ascend, and every element is 0 at the others' c_b: the reduced
+    echelon form with the columns reversed."""
+    flats = [b.flatten() for b in basis]
+    columns = []
+    for f in flats:
+        support = [t for t, x in enumerate(f) if x]
+        if not support or f[support[-1]] != 1:
+            return False
+        columns.append(support[-1])
+    if columns != sorted(set(columns)):
+        return False
+    return all(f[c] == 0 for i, f in enumerate(flats) for k, c in enumerate(columns) if k != i)
+
+
+class TestFreeColumnMembership:
+    """Every route of `symmetrizer_algebra` returns its basis in
+    free-column shape, so membership is one residue with no `Span`; any
+    other basis of the same space is put in that shape first, and
+    membership agrees with the rref of the basis beside g."""
+
+    @pytest.mark.parametrize("case", [
+        "rank n - 1", "modular", "exact fallback", "cone", "vanishing hessian",
+    ])
+    def test_every_route_gives_the_free_column_shape(self, monkeypatch, case):
+        st_sum = GeneratorSpec(kind="st_sum", nvars=4, degree=3, seed=1, blocks=(2, 2))
+        F, route = {
+            "rank n - 1": (generate(GeneratorSpec(kind="random", nvars=4, degree=3, seed=1)),
+                           "rank n - 1"),
+            "modular": (generate(st_sum), "modular"),
+            "exact fallback": (generate(st_sum), "exact fallback"),
+            "cone": (generate(GeneratorSpec(kind="cone", nvars=4, degree=3)),
+                     "certificate failed"),
+            "vanishing hessian": (parse_poly("x0*x3^2 + x1*x3*x4 + x2*x4^2"),
+                                  "certificate failed"),
+        }[case]
+        if case == "exact fallback":  # no entry reconstructs
+            monkeypatch.setattr(algebra, "rational_row_mod_p", lambda row: None)
+        assert pencil_route(F)[0] == route
+        A = symmetrizer_algebra(F)
+        assert free_column_shape(A.basis) and A.basis == oracle_basis(F)
+        n = F.nvars
+        span = Span([b.flat_ints() for b in A.basis], n * n)
+        units = [Matrix(tuple(tuple(int(rc == (r, c)) for c in range(n)) for r in range(n)), 1, n)
+                 for rc in itertools.product(range(n), repeat=2)]
+        built = []
+        init = Span.__init__
+        monkeypatch.setattr(
+            Span, "__init__", lambda span, *args: built.append(args) or init(span, *args)
+        )
+        assert A.contains(Matrix.identity(n)) and A.dim == len(A.basis) == span.dim
+        inside = [A.contains(E) for E in units]
+        assert inside == [span.contains(E.flat_ints()) for E in units] and not all(inside)
+        assert not built
+
+    @given(generated_forms(), st.data())
+    @settings(REPORT_AS_DRAWN, max_examples=40)
+    def test_membership_agrees_with_the_exact_span(self, F, data):
+        A = symmetrizer_algebra(F)
+        n = F.nvars
+        # scaled, reordered or combined: a basis of the same space in
+        # another shape
+        how = data.draw(st.sampled_from(["scaled", "reversed", "combined"]))
+        basis = list(A.basis)
+        if how == "scaled" or len(basis) == 1:
+            basis[0] = basis[0] * data.draw(st.sampled_from([2, -1, Q(1, 3)]))
+        elif how == "reversed":
+            basis.reverse()
+        else:
+            basis[0] = basis[0] + basis[1]
+        B = replace(A, basis=tuple(basis))
+        assert free_column_shape(A.basis) and not free_column_shape(B.basis)
+        kernel = [(b.den, b.flat_ints()) for b in A.basis]
+        assert B._canonical.basis == A._canonical.basis == kernel
+        assert B.dim == A.dim == len(A.basis) and B.spans_kernel(kernel)
+        assert not replace(A, basis=A.basis[1:]).spans_kernel(kernel)
+        for g in [data.draw(endomorphisms(F, A)) for _ in range(3)] + list(A.basis):
+            member = same_span(list(A.basis) + [g], list(A.basis), n)
+            assert A.contains(g) == B.contains(g) == member
+
+
+class TestTableOracles:
+    """The Hessian table placed from each monomial's planned cells, and
+    Ker ∂F ranked on the table's own rows, equal the per-term placement
+    and the transposed table's kernel exactly, cones included."""
+
+    @given(generated_forms())
+    @settings(REPORT_AS_DRAWN, max_examples=60)
+    def test_table_and_kernel(self, F):
+        assert F.hessian_table == oracle_hessian_table(F)
+        assert F.jacobian_kernel == oracle_table_kernel(F)
 
 
 class TestRecovery:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import H_REGULAR_3, H_SQUARE_ZERO_3
+from conftest import H_REGULAR_3, H_SQUARE_ZERO_3, oracle_form_space
+from symmetrizer import corpus
 from symmetrizer.algebra import symmetrizer_algebra
 from symmetrizer.corpus import (
     KINDS,
@@ -197,6 +198,25 @@ class TestFormSpaceMatchesOracle:
     @settings(deadline=None, max_examples=40)
     def test_random_nilpotent(self, h, degree):
         assert nilpotent_form_space(h, degree) == oracle_nilpotent_form_space(h, degree)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_sparse_rows_give_the_dense_kernel(self, data):
+        """Rows from h's nonzero entries only, with the pairs of two zero
+        columns skipped, give the kernel of every dense row: on square-zero
+        h, which map some coordinates into others, and on strictly lower
+        triangular h, whose entries may be zero."""
+        n = data.draw(st.integers(2, 5))
+        if data.draw(st.booleans()):
+            source = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+            mapped = lambda r, c: c in source and r not in source
+            entry = lambda r, c: data.draw(small_rationals) if mapped(r, c) else 0
+        else:
+            entry = lambda r, c: data.draw(small_rationals) if c < r else 0
+        h = Matrix.from_rows([[entry(r, c) for c in range(n)] for r in range(n)])
+        assert nilpotency_index(h) is not None
+        degree = data.draw(st.sampled_from([3, 4]))
+        assert corpus._form_space(h, degree) == oracle_form_space(h, degree)
 
 
 # ---------------------------------------------------------------------------

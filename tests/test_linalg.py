@@ -12,8 +12,8 @@ from symmetrizer.linalg import (
     P,
     InvariantError,
     Matrix,
+    PivotBasis,
     Span,
-    free_column_basis,
     integer_row,
     is_invertible,
     jordan_chevalley,
@@ -286,12 +286,6 @@ class TestSpans:
         assert span_contains(basis, vector([0, 5]))
         assert not span_contains([vector([1, 0])], vector([0, 1]))
 
-    def test_coordinates_over_the_canonical_basis(self):
-        span = Span([vector([1, 0, 0]), vector([0, 2, 0])], 3)
-        assert span.basis == [vector([1, 0, 0]), vector([0, 1, 0])]
-        assert span.coordinates(vector([3, 4, 0])) == (Q(3), Q(4))
-        assert span.coordinates(vector([0, 0, 1])) is None
-
     def test_basis_is_the_rref(self):
         span = Span([vector([2, 4, 6]), vector([1, 1, 1]), vector([3, 5, 7])], 3)
         assert span.basis == [vector([1, 0, -1]), vector([0, 1, 2])]
@@ -303,7 +297,7 @@ class TestSpans:
     def test_empty_span(self):
         assert Span([], 4) == Span([vector([0, 0, 0, 0])], 4)
         assert Span([], 4) != Span([], 3)
-        assert Span([], 4).basis == [] and Span([], 4).coordinates((0,) * 4) == ()
+        assert Span([], 4).basis == []
         assert not span_contains([], vector([1]))
 
 
@@ -331,8 +325,8 @@ def span_pairs(draw):
 
 
 class TestSpanMatchesOracles:
-    """Span against Fraction Gauss-Jordan: equality, the canonical basis
-    and coordinates, on empty families, zero rows and negative pivots."""
+    """Span against Fraction Gauss-Jordan: equality and the canonical
+    basis, on empty families, zero rows and negative pivots."""
 
     @given(span_pairs())
     @settings(deadline=None, max_examples=300)
@@ -349,28 +343,49 @@ class TestSpanMatchesOracles:
         assert span.basis == oracle_row_space(A.rows, A.ncols)
         assert span.dim == len(span.basis)
 
+
+class TestPivotBasis:
+    """PivotBasis against Fraction Gauss-Jordan, both pivot directions:
+    the rref, or the rref of the reversed columns read back, with each
+    row over its own pivot; coordinates rebuild members and refuse the
+    rest."""
+
+    @given(rational_matrices(), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_basis_is_the_oracle_rref(self, A, last):
+        vectors, width = int_rows(A), A.ncols
+        got = PivotBasis(vectors, width, last=last)
+        flip = (lambda v: v[::-1]) if last else (lambda v: v)
+        expected = [flip(r) for r in oracle_row_space([flip(v) for v in vectors], width)]
+        # reversed columns put the last pivot first
+        assert [tuple(Q(x, den) for x in row) for den, row in got.basis] == flip(expected)
+        assert all(den > 0 and gcd(den, *row) == 1 for den, row in got.basis)
+        assert got.pivots == sorted(got.pivots)
+        for (den, row), c in zip(got.basis, got.pivots):
+            support = [t for t, x in enumerate(row) if x]
+            assert c == (support[-1] if last else support[0]) and row[c] == den
+            assert all(row[p] == 0 for p in got.pivots if p != c)
+
     @given(st.data())
     @settings(deadline=None, max_examples=200)
     def test_coordinates_rebuild_members(self, data):
         width = data.draw(st.integers(0, 5))
-        vectors = data.draw(rational_matrices(ncols=width)).rows
-        span = Span(vectors, width)
-        combo = [data.draw(rationals) for _ in vectors]
-        member = tuple(
-            sum((Q(c) * u[j] for c, u in zip(combo, vectors)), Q(0)) for j in range(width)
-        )
-        other = data.draw(rational_matrices(nrows=1, ncols=width)).rows[0]
+        vectors = int_rows(data.draw(rational_matrices(ncols=width)))
+        got = PivotBasis(vectors, width, last=data.draw(st.booleans()))
+        combo = [data.draw(st.integers(-3, 3)) for _ in vectors]
+        member = [sum(c * u[j] for c, u in zip(combo, vectors)) for j in range(width)]
+        other = int_rows(data.draw(rational_matrices(nrows=1, ncols=width)))[0]
         for v in (member, other):
-            coords = span.coordinates(v)
-            if not oracle_span_contains(vectors, v):
+            coords = got.coordinates(v)
+            if not oracle_span_contains([tuple(map(Q, u)) for u in vectors], tuple(map(Q, v))):
                 assert coords is None
                 continue
-            assert len(coords) == span.dim
-            rebuilt = tuple(
-                sum((c * b[j] for c, b in zip(coords, span.basis)), Q(0))
+            assert len(coords) == len(got.basis)
+            rebuilt = [
+                sum((Q(a * row[j], den) for a, (den, row) in zip(coords, got.basis)), Q(0))
                 for j in range(width)
-            )
-            assert rebuilt == tuple(Q(e) for e in v)
+            ]
+            assert rebuilt == v
 
 
 def companion(*ascending_monic_tail) -> Matrix:
@@ -626,7 +641,7 @@ class TestIntegerKernelsMatchOracles:
             family.append([sum((c * v[j] for c, v in zip(combo, kernel)), Q(0))
                            for j in range(A.ncols)])
         family = data.draw(st.permutations(family))
-        got = free_column_basis([integer_row(v)[1] for v in family], A.ncols)
+        got = PivotBasis([integer_row(v)[1] for v in family], A.ncols, last=True).basis
         assert all(den > 0 and gcd(den, *row) == 1 for den, row in got)
         assert [tuple(Q(x, den) for x in row) for den, row in got] == kernel
 

@@ -2,7 +2,9 @@
 exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
 certificate fails, a certified census reads g_F off the sketch mod P
-with no exact solve, null space or kernel of ∂F, transport twists
+with no exact solve, null space or kernel of ∂F, builds no `Span`, one
+Hessian table per form and one pass of slice sums per certified form,
+transport twists
 nothing and inverts one pivot block per source form, fiber membership
 is decided by one product with no reduction of a target's Jacobian, the
 generator composes no forms, parsing builds one Fraction per monomial
@@ -213,6 +215,49 @@ def test_a_census_chunk_reads_g_f_off_the_sketch_mod_p(monkeypatch):
     assert len(certified) == len(kernels) == 20 and all(certified)
     assert counts["solve_matrix"] == counts["integer_nullspace"] == 0
     assert kernels == [0] * 20
+
+
+def test_a_census_chunk_builds_no_span_and_reads_each_table_once(monkeypatch):
+    """Over the 20-spec census chunk of the golden cases, membership and
+    coordinates are read off canonical bases, so no `Span` is built; each
+    form builds its Hessian table once, and `_pencil_certificates` reads
+    H, H′ and the sketch's slices in one `_slice_sums` per certified form."""
+    stdin = next(c["stdin"] for c in GOLDEN_CASES if c["argv"] == ["census", "-"])
+    spans, tables, sums, certified = [], [], [], []
+    init = linalg.Span.__init__
+    monkeypatch.setattr(
+        linalg.Span, "__init__", lambda span, *args: spans.append(args) or init(span, *args)
+    )
+    table = vars(forms.SymForm)["hessian_table"]
+
+    def counted_table(form):
+        tables.append(form)
+        return table.func(form)
+
+    counted = functools.cached_property(counted_table)
+    counted.__set_name__(forms.SymForm, "hessian_table")
+    monkeypatch.setattr(forms.SymForm, "hessian_table", counted)
+    slice_sums, certificates = algebra._slice_sums, algebra._pencil_certificates
+
+    def counted_sums(F, weights):
+        sums.append(F)
+        return slice_sums(F, weights)
+
+    def counted_certificates(F):
+        result = certificates(F)
+        if result is not None:
+            certified.append(F)
+        return result
+
+    monkeypatch.setattr(algebra, "_slice_sums", counted_sums)
+    monkeypatch.setattr(algebra, "_pencil_certificates", counted_certificates)
+    code, out, _ = invoke(["census", "-"], stdin)
+    assert code == 0 and len(out.splitlines()) == 20
+    assert spans == []
+    # the lists hold every form, so no two of them share an id
+    assert len(set(map(id, tables))) == len(tables)
+    assert len(certified) == 20
+    assert sorted(map(id, sums)) == sorted(map(id, certified))
 
 
 def test_transport_twists_nothing_and_inverts_one_block_per_form(monkeypatch):
