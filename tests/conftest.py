@@ -283,6 +283,8 @@ def oracle_recover(F: SymForm, Ft: SymForm) -> Matrix:
 
 # the forms on which a wrong g_F or a wrong twist must show in the suite
 MUTATION_FORMS = ("x0^3+x1^3+x2^3", "x0^3+x1^3+x2^3+x3^3", "x0^2*x1+x1^3+x2^3")
+# and a cone, (text, nvars): degenerate, so no round trip runs on it
+MUTATION_CONE = ("x0^3+x1^3", 3)
 
 
 def off_by_one_twist(position: int):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     H_REGULAR_3,
     H_SQUARE_ZERO_3,
+    MUTATION_CONE,
     MUTATION_FORMS,
     hessian_slices,
     off_by_one_twist,
@@ -31,6 +32,7 @@ from test_evaluators import (
     forms,
     nonzero_rationals,
     oracle_embed_form,
+    oracle_nullspace_fiber_invariance_check,
     oracle_restrict_form,
     unit_triangular_changes,
 )
@@ -638,8 +640,8 @@ class TestPencilRoute:
 
     def test_analyze_of_eighteen_variables_within_its_wall_clock_bound(self, capsys):
         # the same cubic with the identity suite: about 32 s while the
-        # fiber check ranked the n²-wide rows of each F^g, about 3 s on the
-        # pencil of F^g (2-core machine, Python 3.11)
+        # fiber check ranked the n²-wide rows of each F^g, about 0.6 s
+        # with one bound on F's own pencil (2-core machine, Python 3.11)
         F = generate(GeneratorSpec(kind="random", nvars=18, degree=3, seed=1))
         start = time.perf_counter()
         code = cli.main(["analyze", str(F)])
@@ -848,6 +850,25 @@ class TestSuiteCatchesMutations:
         assert results["fiber_invariance"].status == "fail"
         assert results["twist_roundtrip"].status == "fail"
 
+    @pytest.mark.parametrize("text, nvars", [MUTATION_CONE, (MUTATION_FORMS[0], None)])
+    def test_a_basis_short_of_one_element_fails_fiber_invariance(self, text, nvars):
+        # the basis still symmetrizes F and transports its table, so only
+        # the algebra bound at g = I can see the missing element
+        F = parse_poly(text, nvars)
+        A = symmetrizer_algebra(F)
+        short = replace(A, basis=A.basis[:-1], dim_total=A.dim_total - 1)
+        result = check_identities(F, algebra=short)["fiber_invariance"]
+        assert result.status == "fail" and "algebra bound" in result.detail
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_a_twist_off_by_one_coefficient_is_caught_on_a_cone(self, monkeypatch, position):
+        # a degenerate form has no round trip: the table identity must see it
+        monkeypatch.setattr(algebra, "twist", off_by_one_twist(position))
+        F = parse_poly(*MUTATION_CONE)
+        A = symmetrizer_algebra(F)
+        result = check_identities(F, algebra=A)["fiber_invariance"]
+        assert result.detail == f"failed at basis elements {list(range(A.dim))}"
+
 
 class TestFiberInvariance:
     def test_report_ok_for_invertible_symmetrizer(self):
@@ -865,6 +886,49 @@ class TestFiberInvariance:
     def test_rejects_non_symmetrizer(self):
         with pytest.raises(NotASymmetrizerError):
             fiber_invariance_check(CUSP, Matrix.from_rows([[0, 1], [1, 0]]))
+
+
+def oracle_table(F: SymForm) -> Matrix:
+    den, K = oracle_hessian_table(F)
+    return Matrix(K, den, len(K[0]))
+
+
+class TestFiberInvarianceOnTheBasis:
+    """The suite proves `fiber_invariance` on the basis of g_F, singular
+    elements and cones included; the per-sample check is its oracle."""
+
+    @given(generated_forms())
+    @settings(REPORT_AS_DRAWN, max_examples=40)
+    def test_each_basis_element_transports_the_table(self, F):
+        K = oracle_table(F)
+        for b in symmetrizer_algebra(F).basis:
+            assert oracle_table(twist(F, b, check=False)) == b.transpose() * K
+
+    @given(generated_forms())
+    @settings(REPORT_AS_DRAWN, max_examples=40)
+    def test_each_basis_element_keeps_the_kernel_of_a_cone(self, F):
+        assume(not is_nondegenerate(F))
+        rows = oracle_hessian_table(F)[1]
+        # u is in Ker(∂F) exactly when F(u, e_j, e^beta) = (u^T·K)[b·n + j] is 0
+        in_kernel = lambda u: not any(sum(x * r for x, r in zip(u, col)) for col in zip(*rows))
+        kernel = oracle_table_kernel(F)
+        assert kernel and all(map(in_kernel, kernel))
+        for b in symmetrizer_algebra(F).basis:
+            assert all(in_kernel(b.apply(v)) for v in kernel)
+
+    @given(generated_forms())
+    @settings(REPORT_AS_DRAWN, max_examples=10)
+    def test_the_suite_agrees_with_the_per_sample_oracle(self, F):
+        A = symmetrizer_algebra(F)
+        gs = sample_invertible_symmetrizers(F, A, seed=0, count=3)
+        expected = all(oracle_nullspace_fiber_invariance_check(F, g, A).ok for g in gs)
+        assert expected
+        assert check_identities(F, samples=2, algebra=A)["fiber_invariance"].status == "pass"
+        # a basis short of one element: the other checks may break on it
+        short = replace(A, basis=A.basis[:-1])
+        expected = all(oracle_nullspace_fiber_invariance_check(F, g, short).ok for g in gs)
+        assert not expected
+        assert algebra._fiber_invariance_on_basis(F, short).status == "fail"
 
 
 class TestSampling:

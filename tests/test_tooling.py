@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symmetrizer import algebra, cli, corpus, forms, linalg, polytext
+from conftest import MUTATION_CONE, MUTATION_FORMS
 from test_evaluators import oracle_nullspace_fiber_invariance_check
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -44,8 +45,8 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # dim U from 2 to 4, a census that repeats one prescribed (h, d) at
 # three seeds between two seeds of another, and `analyze` of the random
 # cubic in 8 variables at seed 1 and of a random cubic in 4 variables
-# read as a cone in 5, whose fiber checks take the pencil of F^g and the
-# n²-wide rows respectively; and parser cases: two recover pairs with
+# read as a cone in 5, whose fiber checks bound g_F on its pencil and on
+# the n²-wide rows respectively; and parser cases: two recover pairs with
 # fractional coefficients and irregular whitespace, an analyze whose
 # repeated monomials merge and cancel, a grammar error left of a bad
 # character, a zero denominator, a 5000-digit coefficient and a
@@ -118,9 +119,10 @@ def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
     """A census of random, Fermat and st_sum forms reads g_F off the
     pencil and never builds the n²-wide constraint system, and `analyze`
     of a random form builds it neither for g_F nor for the fiber check,
-    which bounds dim g_{F^g} on the pencil of F^g. A cone, a form with
+    which bounds dim g_F on F's own pencil. A cone, a form with
     vanishing Hessian and one with a derogatory pencil ratio build it
-    once for g_F and once per fiber check; so does a pencil bound above
+    once for g_F and once per `fiber_invariance_check`, which bounds
+    dim g_{F^g} on the pencil of F^g; so does a pencil bound above
     dim g_F. Every such report is the exact null-space oracle's, also
     against a wrong algebra."""
     counts = Counter()
@@ -316,7 +318,7 @@ def test_fiber_membership_is_one_product(monkeypatch):
     transport pairs, `recover_symmetrizer` reduces the n×C(n+d−2, d−1)
     Jacobian of each source form once and that of no target, a
     successful recovery builds no Hessian table for its target, and
-    `fiber_invariance_check` reduces no Jacobian. A form caches one
+    the fiber check reduces no Jacobian. A form caches one
     Hessian table and no echelon form of its Jacobian."""
     assert [name for name in vars(forms.SymForm) if "hessian" in name] == ["hessian_table"]
     assert "jacobian_rref" not in vars(forms.SymForm)
@@ -362,7 +364,7 @@ def test_fiber_membership_is_one_product(monkeypatch):
     monkeypatch.setattr(algebra, "recover_symmetrizer", counted_recover)
     monkeypatch.setattr(cli, "recover_symmetrizer", counted_recover)
     monkeypatch.setattr(
-        algebra, "fiber_invariance_check", inside("fiber", algebra.fiber_invariance_check)
+        algebra, "_fiber_invariance_on_basis", inside("fiber", algebra._fiber_invariance_on_basis)
     )
     sources = [
         corpus.generate(corpus.GeneratorSpec(kind="random", nvars=4, degree=3, seed=1)),
@@ -388,6 +390,41 @@ def test_fiber_membership_is_one_product(monkeypatch):
     expected = sources + [polytext.parse_poly(F, int(n)) for n, F, _ in pairs]
     assert of_jacobians("recover") == [F.jacobian.ints for F in expected]
     assert of_jacobians("fiber") == []
+
+
+@pytest.mark.parametrize("text, nvars", [(t, None) for t in MUTATION_FORMS] + [MUTATION_CONE])
+def test_the_fiber_check_runs_on_the_basis(monkeypatch, text, nvars):
+    """`check_identities` proves `fiber_invariance` on the basis of g_F:
+    no per-sample `fiber_invariance_check`, one `_pencil_certificates`
+    on F itself for the algebra bound at g = I, and at most one twisted
+    form per basis element and one per round-trip sample."""
+    F = polytext.parse_poly(text, nvars)
+    A = algebra.symmetrizer_algebra(F)
+    counts, certified = Counter(), []
+    per_g, certificates, twist = (
+        algebra.fiber_invariance_check, algebra._pencil_certificates, algebra.twist
+    )
+
+    def counted_per_g(*args, **kwargs):
+        counts["per g"] += 1
+        return per_g(*args, **kwargs)
+
+    def counted_twist(*args, **kwargs):
+        counts["twist"] += 1
+        return twist(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "fiber_invariance_check", counted_per_g)
+    monkeypatch.setattr(
+        algebra, "_pencil_certificates", lambda G: certified.append(G) or certificates(G)
+    )
+    monkeypatch.setattr(algebra, "twist", counted_twist)
+    samples = 8
+    results = algebra.check_identities(F, samples=samples, algebra=A)
+    assert results["fiber_invariance"].status == "pass"
+    assert counts["per g"] == 0
+    # the block algebras of a split form read their own certificates
+    assert sum(G is F for G in certified) == 1
+    assert counts["twist"] <= A.dim + samples
 
 
 def test_generate_composes_no_forms(monkeypatch):
