@@ -32,14 +32,18 @@ exact elimination. Otherwise the kernel of R_c mod P, with I, gives
 n - rank R_c elements sum_k a_k M^k mod P, independent by (B); their
 reduced echelon form mod P with the columns reversed (the order of
 `PivotBasis(..., last=True)`) is reconstructed entry by entry as
-fractions with |num|, den <= sqrt(P/2) (Wang, Guy and Davenport), and
-each matrix must pass the exact integer test `symmetry_violation`.
+fractions with |num|, den <= sqrt(P/2) = 23,170 (Wang, Guy and
+Davenport; P = 2^30 − 35 keeps every residue one digit of a CPython
+int), and each matrix must pass the exact integer test
+`symmetry_violation`.
 Those that pass lie in g_F; reconstruction keeps every 0 and 1, so they
 are still in reduced echelon form, with distinct pivots, and
 independent; they number n - rank R_c >= dim g_F, so they are a basis
 of g_F. A space has one reduced echelon basis, so they are exactly the
-basis `nullspace(constraint_matrix(F))` gives. When an entry does not
-reconstruct or a test fails, the exact kernel of R over the exact
+basis `nullspace(constraint_matrix(F))` gives. None of this depends on
+the prime, and a refused candidate set is never returned: when an entry
+does not reconstruct (it lies past the bound, or P divides a
+denominator) or a test fails, the exact kernel of R over the exact
 powers of M gives g_F. Under (A), F is nondegenerate: H u = 0 for every
 u in Ker ∂F, and H is invertible. When (A) or (B) fails (cones, forms
 with a vanishing Hessian, a derogatory M), g_F is the exact null space
@@ -51,13 +55,16 @@ at its free column c_b, its last nonzero entry, and 0 at every other
 element's free column. Then g = sum_b a_b b forces a_b = g[c_b], and g
 is in g_F exactly when g - sum_b g[c_b] b = 0, one integer pass with no
 elimination (`SymmetrizerAlgebra.contains`, by `linalg.PivotBasis`).
-The algebra puts its basis in that shape once, which finds nothing to
-eliminate in a basis `symmetrizer_algebra` built and canonicalizes any
-other; a space has one such basis, so its length is the dimension and
-equality with `integer_nullspace`'s basis is equality of spans. The
-trace-form radical below is kept in reduced echelon form, and
-`nilpotent_report` reads coordinates over it at its pivot columns and
-checks the residue the same way.
+Each route builds its basis in that shape, with its pivots: the
+reduced rows mod P read back, the exact route's `PivotBasis` and the
+constraint system's `integer_nullspace`. `SymmetrizerAlgebra.from_bases`
+keeps it as it is, and puts in that shape only a basis put together
+otherwise (`dataclasses.replace`); a space has one such basis, so its
+length is the dimension and equality with `integer_nullspace`'s basis
+is equality of spans. The trace-form radical below is kept in reduced
+echelon form and handed over the same way, and `nilpotent_report` reads
+coordinates over it at its pivot columns and checks the residue the
+same way.
 
 The identity suite's fiber check proves, for every invertible g in g_F,
 that g_{F^g} = g_F, Ker ∂F^g = g^-1·Ker ∂F and J(F^g) = g^T·J_F, from
@@ -212,11 +219,41 @@ class SymmetrizerAlgebra:
     def nondegenerate(self) -> bool:
         return self.dim_torus is not None
 
+    @classmethod
+    def from_bases(
+        cls, F: SymForm, canonical: PivotBasis, radical: PivotBasis | None
+    ) -> SymmetrizerAlgebra:
+        """g_F from its free-column basis and, for nondegenerate F, the
+        rref basis of its trace-form radical (None for degenerate F), both
+        kept as `_canonical` and `_radical`: neither is eliminated again."""
+        n = F.nvars
+        basis = _matrices(canonical, n)
+        unipotent = dim_torus = dim_unip = None
+        if radical is not None:
+            unipotent = _matrices(radical, n)
+            dim_unip = len(unipotent)
+            dim_torus = len(basis) - 1 - dim_unip
+        A = cls(
+            form=F, basis=basis, unipotent_basis=unipotent,
+            dim_total=len(basis), dim_torus=dim_torus, dim_unipotent=dim_unip,
+        )
+        vars(A).update(_canonical=canonical, _radical=radical)
+        return A
+
     @cached_property
     def _canonical(self) -> PivotBasis:
         """The basis's span over its free-column basis (see the module
-        docstring): the basis itself when `symmetrizer_algebra` built it."""
+        docstring): the one `from_bases` was given, else eliminated from
+        the basis."""
         return PivotBasis([b.flat_ints() for b in self.basis], self.form.nvars**2, last=True)
+
+    @cached_property
+    def _radical(self) -> PivotBasis | None:
+        """The rref basis of `unipotent_basis`, None when that is None:
+        the one `from_bases` was given, else eliminated from it."""
+        if self.unipotent_basis is None:
+            return None
+        return PivotBasis([u.flat_ints() for u in self.unipotent_basis], self.form.nvars**2)
 
     @property
     def dim(self) -> int:
@@ -276,27 +313,21 @@ class SymmetrizerAlgebra:
 def symmetrizer_algebra(F: SymForm) -> SymmetrizerAlgebra:
     """Compute g_F and, for nondegenerate F, its torus/unipotent split."""
     n = F.nvars
-    basis = _pencil_basis(F)
+    canonical = _pencil_basis(F)
     # the pencil route runs only under certificate A, which proves F
     # nondegenerate (see the module docstring)
-    nondegenerate = basis is not None
-    if basis is None:
-        basis = tuple(_square(den, v, n) for den, v in integer_nullspace(constraint_matrix(F)))
+    nondegenerate = canonical is not None
+    if canonical is None:
+        canonical = integer_nullspace(constraint_matrix(F))
         nondegenerate = is_nondegenerate(F)
-    unipotent = dim_torus = dim_unip = None
+    radical = _trace_form_radical(canonical, n) if nondegenerate else None
+    A = SymmetrizerAlgebra.from_bases(F, canonical, radical)
     if nondegenerate:
-        unipotent = _trace_form_radical(basis, n)
-        for u in unipotent:
+        for u in A.unipotent_basis:
             if nilpotency_index(u) is None:
                 raise InvariantError("trace-form radical holds a non-nilpotent element")
-        dim_unip = len(unipotent)
-        dim_torus = len(basis) - 1 - dim_unip
-        if dim_torus < 0:
+        if A.dim_torus < 0:
             raise InvariantError("split dimensions exceed the algebra dimension")
-    A = SymmetrizerAlgebra(
-        form=F, basis=basis, unipotent_basis=unipotent,
-        dim_total=len(basis), dim_torus=dim_torus, dim_unipotent=dim_unip,
-    )
     if not A.contains(Matrix.identity(n)):
         raise InvariantError("identity endomorphism missing from the algebra")
     return A
@@ -359,9 +390,10 @@ def _pencil_certificates(F: SymForm) -> tuple[list, list, int] | None:
     return powers, echelon, len(echelon)
 
 
-def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
+def _pencil_basis(F: SymForm) -> PivotBasis | None:
     """g_F as the kernel of the pencil system R inside Q[M], M = H⁻¹H′,
-    or None when certificate A or B fails (see the module docstring).
+    in free-column shape, or None when certificate A or B fails (see the
+    module docstring).
     The basis is the one `nullspace(constraint_matrix(F))` gives: read
     off the sketch mod P and checked exactly, or, when reconstruction or
     the check fails, from the exact kernel of R."""
@@ -370,39 +402,38 @@ def _pencil_basis(F: SymForm) -> tuple[Matrix, ...] | None:
         return None
     powers, echelon, rank = certified
     n = F.nvars
-    if rank == n - 1:
-        return (Matrix.identity(n),)
+    if rank == n - 1:  # I is 1 at its last entry
+        return PivotBasis.canonical([(1, Matrix.identity(n).flat_ints())], [n * n - 1])
     return _modular_pencil_basis(F, powers, echelon) or _exact_pencil_basis(F)
 
 
-def _modular_pencil_basis(F: SymForm, powers: Sequence, echelon) -> tuple[Matrix, ...] | None:
+def _modular_pencil_basis(F: SymForm, powers: Sequence, echelon) -> PivotBasis | None:
     """g_F from the sketch (see the module docstring): I and
     sum_k a_k M^k mod P for each kernel vector a of the sketch's reduced
     echelon form, reduced mod P with the columns reversed, every entry
     reconstructed as a fraction, every matrix tested on F. None when an
-    entry does not reconstruct or a matrix does not symmetrize F."""
-    n = F.nvars
+    entry does not reconstruct or a matrix does not symmetrize F.
+    Reconstruction keeps each pivot's 1, so the reduced rows, read back
+    in column order, are the free-column basis with its pivots."""
+    n, nn = F.nvars, F.nvars**2
     # entry t of every power, t from the last: the columns reversed
     entries = list(zip(*(list(chain.from_iterable(T))[::-1] for T in powers)))
     gens = [Matrix.identity(n).flat_ints()]  # the same reversed
     for a in kernel_mod_p(echelon, n - 1):
         gens.append([sum(map(mul, a, e)) for e in entries])
-    reduced = rref_mod_p(gens, n * n)
+    reduced = rref_mod_p(gens, nn)
     if len(reduced) != len(gens):
         raise InvariantError("pencil powers dependent mod P under certificate B")
     basis = []
     for _, row in reversed(reduced):
         rational = rational_row_mod_p(row[::-1])
-        if rational is None:
+        if rational is None or symmetry_violation(F, _square(*rational, n)) is not None:
             return None
-        g = _square(*rational, n)
-        if symmetry_violation(F, g) is not None:
-            return None
-        basis.append(g)
-    return tuple(basis)
+        basis.append(rational)
+    return PivotBasis.canonical(basis, [nn - 1 - c for c, _ in reversed(reduced)])
 
 
-def _exact_pencil_basis(F: SymForm) -> tuple[Matrix, ...]:
+def _exact_pencil_basis(F: SymForm) -> PivotBasis:
     """g_F from the exact kernel of R over the exact powers of M = H⁻¹H′,
     for a form that passes certificates A and B: the fallback when the
     sketch's basis is refused."""
@@ -416,14 +447,19 @@ def _exact_pencil_basis(F: SymForm) -> tuple[Matrix, ...]:
     R = Matrix(tuple(map(tuple, _pencil_rows(slices, [T.ints for T in exact], n))), 1, n - 1)
     entries = list(zip(*(T.flat_ints() for T in exact)))  # entry t of every power
     gens = [Matrix.identity(n).flat_ints()]
-    for _, c in integer_nullspace(R):
+    for _, c in integer_nullspace(R).basis:
         gens.append([sum(map(mul, c, e)) for e in entries])
-    return tuple(_square(den, row, n) for den, row in PivotBasis(gens, n * n, last=True).basis)
+    return PivotBasis(gens, n * n, last=True)
 
 
 def _square(den: int, flat: Sequence[int], n: int) -> Matrix:
     """The n×n matrix with row-major integer entries `flat` over den."""
     return Matrix(tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)), den, n)
+
+
+def _matrices(basis: PivotBasis, n: int) -> tuple[Matrix, ...]:
+    """The elements of a basis of n×n matrices, as Matrices."""
+    return tuple(_square(den, row, n) for den, row in basis.basis)
 
 
 def _pencil_rows(sparse, powers: Sequence, n: int):
@@ -464,23 +500,23 @@ def _product_mod_p(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> li
     return [[sum(map(mul, r, c)) % P for c in cols] for r in A]
 
 
-def _trace_form_radical(basis: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
-    """Canonical basis of {sum c_i b_i : c in Ker G}, G_ij = tr(b_i b_j),
-    over the integer matrices of the basis (see the module docstring)."""
-    m = len(basis)
+def _trace_form_radical(basis: PivotBasis, n: int) -> PivotBasis:
+    """The rref basis of {sum c_i b_i : c in Ker G}, G_ij = tr(b_i b_j),
+    over the integer n×n matrices of the basis (see the module docstring)."""
+    flats = [row for _, row in basis.basis]
+    m = len(flats)
     if m == 1:
-        return ()
-    flats = [b.flat_ints() for b in basis]
+        return PivotBasis.canonical([], [])
     # tr(x y) = sum_kl x[k][l] y[l][k]: x's entries against y's transposed ones
-    transposed = [list(chain.from_iterable(zip(*b.ints))) for b in basis]
+    transposed = [[x for l in range(n) for x in f[l::n]] for f in flats]
     gram = tuple(tuple(sum(map(mul, x, yt)) for yt in transposed) for x in flats)
     if rank_mod_p(gram, m) == m:
-        return ()
+        return PivotBasis.canonical([], [])
     entries = list(zip(*flats))  # entry t of every basis matrix
     combos = []
-    for _, c in integer_nullspace(Matrix(gram, 1, m)):
+    for _, c in integer_nullspace(Matrix(gram, 1, m)).basis:
         combos.append([sum(map(mul, c, e)) for e in entries])
-    return tuple(_square(den, row, n) for den, row in PivotBasis(combos, n * n).basis)
+    return PivotBasis(combos, n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +572,7 @@ def kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
     if witness is not None:
         raise NotASymmetrizerError(*witness)
     image = Span(h.transpose().ints, F.nvars).basis
-    return pairings_vanish(F, image, [v for _, v in integer_nullspace(h)])
+    return pairings_vanish(F, image, [v for _, v in integer_nullspace(h).basis])
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +747,11 @@ def nilpotent_report(A: SymmetrizerAlgebra) -> NilpotentReport:
         )
     F = A.form
     n, d = F.nvars, F.degree
-    # the radical's rref basis, which `_trace_form_radical` returns: each
-    # u is 1 at its pivot and 0 at the others', so h's coordinates are
-    # its entries there, and the residue decides membership
-    U = PivotBasis([u.flat_ints() for u in A.unipotent_basis], n * n)
-    unip = tuple(_square(den, row, n) for den, row in U.basis)
+    # the radical's rref basis, as `_trace_form_radical` built it: each u
+    # is 1 at its pivot and 0 at the others', so h's coordinates are its
+    # entries there, and the residue decides membership
+    U = A._radical
+    unip = _matrices(U, n)
     classes: dict[Vec, SquareZeroClass] = {}
 
     def register(h: Matrix, coeffs: Vec | None = None):
@@ -900,7 +936,7 @@ def _spans_algebra(G: SymForm, A: SymmetrizerAlgebra) -> bool:
     C = constraint_matrix(G)
     if included and rank_mod_p(C.ints, nn) >= nn - dim:
         return True
-    return A.spans_kernel(integer_nullspace(C))
+    return A.spans_kernel(integer_nullspace(C).basis)
 
 
 def sample_invertible_symmetrizers(

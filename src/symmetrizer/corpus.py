@@ -120,7 +120,7 @@ def _form_space(h: Matrix, degree: int) -> list[tuple[int, list[int]]]:
                         alpha = tuple(alpha)
                         row[index[alpha]] += sign * x * alpha_factorial(alpha)
                 rows.append(tuple(row))
-    return integer_nullspace(Matrix(tuple(rows), h.den * factorial(d), width))
+    return integer_nullspace(Matrix(tuple(rows), h.den * factorial(d), width)).basis
 
 
 def nilpotent_form_space(h: Matrix, degree: int) -> list[SymForm]:

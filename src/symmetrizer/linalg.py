@@ -23,7 +23,9 @@ and 0 at the others', which decides membership without elimination
 the denominator of A^k, so each tail counts multiples of A^k itself and
 a row whose matrix part reduces to zero holds the relation in its tail.
 
-Rank lower bounds come from one fixed prime P. Integer rows have a
+Rank lower bounds come from one fixed prime P = 2^30 − 35, the largest
+below 2^30: CPython stores an int in 30-bit digits, so a residue mod P
+is one digit and a product of two residues is two. Integer rows have a
 nonzero (r × r) minor exactly when their rank is at least r, and a minor
 nonzero mod P is nonzero, so `rank_mod_p` reaching a bound proves it
 (the certificate of Dixon's modular method). It falls short only when P
@@ -31,8 +33,9 @@ divides every such minor; callers then run the exact elimination, so no
 answer depends on P. `rref_mod_p` and `kernel_mod_p` give the reduced
 echelon form and a kernel basis mod P, and `rational_mod_p` reads a
 residue back as the one fraction with numerator and denominator at most
-√(P/2), when there is one. A reconstructed value is only a candidate:
-callers check it exactly and fall back to the exact elimination.
+√(P/2) = 23,170, when there is one. A reconstructed value is only a
+candidate: callers check it exactly and fall back to the exact
+elimination, which is also the route for any value past that bound.
 
 The same prime gives a second certificate, in `jordan_chevalley`: a
 minimal polynomial that `polys.squarefree_mod_p` proves squarefree shows
@@ -415,27 +418,27 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return Matrix(tuple(out), den, M.ncols), pivots, len(pivots)
 
 
-def integer_nullspace(M: Matrix) -> list[tuple[int, list[int]]]:
-    """The basis `nullspace` returns, as (den, ints) pairs: each vector
-    is ints / den, with ints primitive and equal to den at its free
-    column, so den is the lcm of the entries' denominators. Zero rows
-    are dropped first: they change neither the kernel nor the rref."""
+def integer_nullspace(M: Matrix) -> PivotBasis:
+    """Ker(M) as its `last` `PivotBasis` (see there), read off the rref
+    with no second elimination: the basis `nullspace` returns, as
+    (den, ints) pairs, each vector ints / den with ints primitive and
+    equal to den at its free column, its pivot, so den is the lcm of the
+    entries' denominators. Zero rows are dropped first: they change
+    neither the kernel nor the rref."""
     nonzero = tuple(r for r in M.ints if any(r))
     if len(nonzero) < M.nrows:
         M = Matrix(nonzero, 1, M.ncols)
     red, pivots, _ = rref(M)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(M.ncols):
-        if free in pivot_set:
-            continue
+    basis, free = [], [c for c in range(M.ncols) if c not in pivot_set]
+    for c in free:
         v = [0] * M.ncols
-        v[free] = red.den
+        v[c] = red.den
         for r, p in enumerate(pivots):
-            v[p] = -red.ints[r][free]
+            v[p] = -red.ints[r][c]
         g = gcd(*v)
         basis.append((red.den // g, [x // g for x in v]))
-    return basis
+    return PivotBasis.canonical(basis, free)
 
 
 def nullspace(M: Matrix) -> list[Vec]:
@@ -444,7 +447,7 @@ def nullspace(M: Matrix) -> list[Vec]:
     Each basis vector carries 1 in its free coordinate and the negated
     reduced-echelon coefficients in the pivot coordinates.
     """
-    return [tuple(Fraction(x, den) for x in v) for den, v in integer_nullspace(M)]
+    return [tuple(Fraction(x, den) for x in v) for den, v in integer_nullspace(M).basis]
 
 
 class PivotBasis:
@@ -465,7 +468,10 @@ class PivotBasis:
     g − sum_b g[c_b]·b is zero, and its coordinates are its entries at
     the pivots. Past the one elimination that builds the basis (which
     finds nothing to eliminate in a family already in this shape),
-    membership and coordinates take one integer pass each."""
+    membership and coordinates take one integer pass each.
+
+    `canonical` takes a basis already in this shape, with its pivots,
+    from the reduction that built it, and eliminates nothing."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], ncols: int, *, last: bool = False):
         flip = (lambda v: v[::-1]) if last else (lambda v: v)
@@ -477,6 +483,14 @@ class PivotBasis:
             den, row = rows[r][pivots[r]], list(flip(rows[r]))
             self.basis.append((den, row) if den > 0 else (-den, [-x for x in row]))
             self.pivots.append(ncols - 1 - pivots[r] if last else pivots[r])
+
+    @classmethod
+    def canonical(cls, basis: list[tuple[int, list[int]]], pivots: list[int]) -> PivotBasis:
+        """The basis (den, ints) with pivots c_b, taken as it is: the
+        caller's reduction has put it in the shape above."""
+        self = cls.__new__(cls)
+        self.basis, self.pivots = basis, pivots
+        return self
 
     @cached_property
     def _scaled(self) -> tuple[int, list[list[tuple[int, int]]]]:

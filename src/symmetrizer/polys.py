@@ -27,7 +27,11 @@ from math import gcd as int_gcd
 from math import isqrt, lcm
 from typing import Iterable, Iterator
 
-P = 2**61 - 1  # the prime of the modular certificates, here and in linalg
+# the prime of the modular certificates, here and in linalg: the largest
+# below 2^30, so a residue is one 30-bit digit of a CPython int and a
+# product of two residues is two. Rational reconstruction mod P reaches
+# |num|, den <= √(P/2) = 23,170; past that the exact route decides.
+P = 2**30 - 35
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ from symmetrizer.forms import (
 from symmetrizer.linalg import (
     InvariantError,
     Matrix,
+    PivotBasis,
     Span,
     jordan_chevalley,
     minimal_polynomial,
@@ -530,20 +531,25 @@ def generated_forms(draw):
 
 
 def pencil_route(F: SymForm) -> tuple[str, tuple[Matrix, ...] | None]:
-    """(route, `_pencil_basis(F)`), the route one of "certificate failed",
-    "rank n - 1" (the sketch proves g_F = <I>), "modular" (read off the
-    sketch mod P and checked) and "exact fallback" (the modular basis
-    refused, the exact kernel of R taken)."""
+    """(route, the basis `_pencil_basis(F)` gives), the route one of
+    "certificate failed", "rank n - 1" (the sketch proves g_F = <I>),
+    "modular" (read off the sketch mod P and checked) and "exact
+    fallback" (the modular basis refused, the exact kernel of R taken)."""
     ran = []
     modular, exact = algebra._modular_pencil_basis, algebra._exact_pencil_basis
     with patch.object(algebra, "_modular_pencil_basis",
                       lambda *a: ran.append("modular") or modular(*a)), \
          patch.object(algebra, "_exact_pencil_basis",
                       lambda *a: ran.append("exact fallback") or exact(*a)):
-        basis = algebra._pencil_basis(F)
-    if basis is None:
+        canonical = algebra._pencil_basis(F)
+    if canonical is None:
         return "certificate failed", None
-    return (ran[-1] if ran else "rank n - 1"), basis
+    return (ran[-1] if ran else "rank n - 1"), algebra._matrices(canonical, F.nvars)
+
+
+def largest_entry(basis) -> int:
+    """The largest |numerator| or denominator over the basis's entries."""
+    return max(max(abs(e.numerator), e.denominator) for b in basis for e in b.flatten())
 
 
 class TestPencilRoute:
@@ -565,9 +571,15 @@ class TestPencilRoute:
         F = compose_linear(FERMAT3, T)
         route, basis = pencil_route(F)
         assert route == "exact fallback" and basis == oracle_basis(F)
-        assert any(
-            max(abs(e.numerator), e.denominator) > linalg._HALF for b in basis for e in b.flatten()
-        )
+        assert largest_entry(basis) > linalg._HALF
+
+    def test_entries_just_past_the_bound_take_the_exact_route(self):
+        # entries below 2^30, which reconstruct mod 2^61 − 1 but not mod P
+        T = Matrix.from_rows([[1, 0, 0], [150, 1, 0], [97, 131, 1]])
+        F = compose_linear(FERMAT3, T)
+        route, basis = pencil_route(F)
+        assert route == "exact fallback" and basis == oracle_basis(F)
+        assert linalg._HALF < largest_entry(basis) < 2**30
 
     def test_a_sketch_that_loses_rank_takes_the_exact_route(self, monkeypatch):
         # c = 1 gives H, whose pencil rows are zero: the sketch has rank 0
@@ -605,7 +617,7 @@ class TestPencilRoute:
     def test_fixed_forms_take_the_pencil(self, spec):
         F = generate(spec)
         basis = algebra._pencil_basis(F)
-        assert basis is not None and basis == oracle_basis(F)
+        assert basis is not None and algebra._matrices(basis, F.nvars) == oracle_basis(F)
 
     def test_a_cone_has_a_singular_pencil(self):
         F = generate(GeneratorSpec(kind="cone", nvars=4, degree=3))
@@ -726,6 +738,12 @@ class TestFreeColumnMembership:
         assert free_column_shape(A.basis) and not free_column_shape(B.basis)
         kernel = [(b.den, b.flat_ints()) for b in A.basis]
         assert B._canonical.basis == A._canonical.basis == kernel
+        # the bases `symmetrizer_algebra` handed over, pivots included, are
+        # the ones elimination gives a copy that has to build its own
+        fresh = replace(A)
+        assert vars(fresh).keys().isdisjoint({"_canonical", "_radical"})
+        for handed, built in ((A._canonical, fresh._canonical), (A._radical, fresh._radical)):
+            assert handed is built is None or (handed.basis, handed.pivots) == (built.basis, built.pivots)
         assert B.dim == A.dim == len(A.basis) and B.spans_kernel(kernel)
         assert not replace(A, basis=A.basis[1:]).spans_kernel(kernel)
         for g in [data.draw(endomorphisms(F, A)) for _ in range(3)] + list(A.basis):
@@ -826,6 +844,11 @@ class TestRecoveryAgainstTheWideSolve:
             parse_poly("x0^3 + x1^3", 3).jacobian_pivot_inverse
 
 
+def identity_only(n: int) -> PivotBasis:
+    """The basis <I> in free-column shape: I is 1 at its last entry."""
+    return PivotBasis.canonical([(1, Matrix.identity(n).flat_ints())], [n * n - 1])
+
+
 class TestSuiteCatchesMutations:
     """The identity suite stays independent of the code it checks: a
     wrong g_F or a wrong twist ends in a failed check, never in an
@@ -835,7 +858,7 @@ class TestSuiteCatchesMutations:
     def test_a_pencil_basis_of_only_the_identity_fails_fiber_invariance(
         self, monkeypatch, text
     ):
-        monkeypatch.setattr(algebra, "_pencil_basis", lambda F: (Matrix.identity(F.nvars),))
+        monkeypatch.setattr(algebra, "_pencil_basis", lambda F: identity_only(F.nvars))
         F = parse_poly(text)
         assert symmetrizer_algebra(F).dim_total == 1
         assert check_identities(F)["fiber_invariance"].status == "fail"

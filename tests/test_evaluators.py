@@ -61,7 +61,7 @@ from symmetrizer.forms import (
     twist,
 )
 from symmetrizer.linalg import Matrix, integer_nullspace, nullspace, rref
-from symmetrizer.polys import Poly
+from symmetrizer.polys import P, Poly
 from symmetrizer.polytext import parse_poly
 from symmetrizer.rng import SplitMix64
 
@@ -287,7 +287,8 @@ def oracle_algebra_closure_check(A) -> ClosureReport:
 # structured ones optionally moved by a change of basis with large
 # denominators, so that their symmetrizers carry large denominators too.
 
-DENOMINATORS = [1, 1, 2, 3, 7, 97, 65537, 1000003, 2**31 - 1, 2**61 - 1]
+# P, the prime of the certificates, so that some certificates fail
+DENOMINATORS = [1, 1, 2, 3, 7, 97, 65537, 1000003, 2**31 - 1, P, 2**61 - 1]
 # pairwise coprime, each past 2^29: primes, a prime power and a product of
 # two primes
 LARGE_COPRIME_DENOMINATORS = [1000003, 2**31 - 1, 2**61 - 1, 11**30, 13 * (10**9 + 7)]

@@ -1,7 +1,7 @@
 """Exact linear algebra: echelon forms, spans, minimal polynomials, splitting."""
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from symmetrizer.linalg import (
     Matrix,
     PivotBasis,
     Span,
+    integer_nullspace,
     integer_row,
     is_invertible,
     jordan_chevalley,
@@ -186,7 +187,8 @@ def in_lowest_terms(A: Matrix) -> bool:
 
 # Large coprime denominators make the row lcms, and so the integer rows,
 # wide; zero weighs in heavily so zero rows and sparse pivots occur.
-DENOMINATORS = [1, 1, 2, 3, 7, 97, 65537, 1000003, 2**31 - 1, 2**61 - 1]
+# P, the prime of the certificates, so that some rows vanish mod P
+DENOMINATORS = [1, 1, 2, 3, 7, 97, 65537, 1000003, 2**31 - 1, P, 2**61 - 1]
 rationals = st.one_of(
     st.just(0),
     st.builds(Q, st.integers(-50, 50), st.sampled_from(DENOMINATORS)),
@@ -645,6 +647,16 @@ class TestIntegerKernelsMatchOracles:
         assert all(den > 0 and gcd(den, *row) == 1 for den, row in got)
         assert [tuple(Q(x, den) for x in row) for den, row in got] == kernel
 
+    @given(rational_matrices())
+    @settings(deadline=None, max_examples=150)
+    def test_integer_nullspace_is_its_own_pivot_basis(self, A):
+        # the rref's free columns are the pivots: eliminating its vectors
+        # again gives the same basis and pivots
+        got = integer_nullspace(A)
+        again = PivotBasis([row for _, row in got.basis], A.ncols, last=True)
+        assert (got.basis, got.pivots) == (again.basis, again.pivots)
+        assert [tuple(Q(x, den) for x in row) for den, row in got.basis] == oracle_nullspace(A)
+
     @given(matrices(nmax=5), st.data())
     @settings(deadline=None, max_examples=150)
     def test_solve_mod_p(self, A, data):
@@ -851,15 +863,21 @@ class TestModularCertificates:
             assert (num - a * den) % P == 0
 
     def test_rational_mod_p_past_the_bound(self):
-        assert 2 * linalg._HALF**2 < P < 2 * (linalg._HALF + 1) ** 2
+        # P is the largest prime below 2^30: residues are one 30-bit digit
+        def is_prime(m):
+            return all(m % q for q in range(2, isqrt(m) + 1))
+
+        assert P == 2**30 - 35 and is_prime(P) and not any(map(is_prime, range(P + 1, 2**30)))
+        assert linalg._HALF == 23170 and 2 * linalg._HALF**2 < P < 2 * (linalg._HALF + 1) ** 2
         assert rational_mod_p(0) == (0, 1) and rational_mod_p(1) == (1, 1)
         assert rational_mod_p(P - 1) == (-1, 1)
         # an integer past the bound reads as another fraction, or as none
-        assert rational_mod_p(10**12) == (628412633, 500367933)
-        assert rational_mod_p(10**12 + 1) is None
+        assert rational_mod_p(10**12) is None
+        assert rational_mod_p(10**12 + 1) == (-19453, 3977)
+        assert rational_mod_p(23170) == (23170, 1) and rational_mod_p(23171) is None
         third = pow(3, -1, P)
         assert rational_row_mod_p([0, 1, 2 * third % P, -third % P]) == (3, [0, 3, 2, -1])
-        assert rational_row_mod_p([0, 10**12 + 1]) is None
+        assert rational_row_mod_p([0, 10**12]) is None
 
     @given(st.data())
     @settings(deadline=None, max_examples=150)

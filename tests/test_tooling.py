@@ -2,7 +2,8 @@
 exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
 certificate fails, a certified census reads g_F off the sketch mod P
-with no exact solve, null space or kernel of ∂F, builds no `Span`, one
+with no exact solve, null space or kernel of ∂F and eliminates no basis
+a route handed over, builds no `Span`, one
 Hessian table per form and one pass of slice sums per certified form,
 transport twists
 nothing and inverts one pivot block per source form, fiber membership
@@ -173,12 +174,15 @@ def test_only_a_failed_pencil_certificate_builds_the_wide_system(monkeypatch):
 def test_a_census_chunk_reads_g_f_off_the_sketch_mod_p(monkeypatch):
     """Over the 20-spec census chunk of the golden cases, `_pencil_basis`
     makes no exact solve and takes no exact null space: g_F is read off
-    the sketch of R mod P, reconstructed and checked. Wherever
-    certificate A held, `symmetrizer_algebra` takes nondegeneracy from
-    it and computes no kernel of ∂F."""
+    the sketch of R mod P, reconstructed and checked, with no exact
+    pencil kernel. Wherever certificate A held, `symmetrizer_algebra`
+    takes nondegeneracy from it and computes no kernel of ∂F. The bases
+    are handed over as their routes built them: the only `PivotBasis`
+    eliminations are the radical's Gram-kernel combinations and the
+    image of each square-zero class."""
     stdin = next(c["stdin"] for c in GOLDEN_CASES if c["argv"] == ["census", "-"])
     assert len(stdin.splitlines()) == 20
-    counts, inside, certified, kernels = Counter(), [0], [], []
+    counts, inside, certified, kernels, accepted = Counter(), [0], [], [], []
     pencil = algebra._pencil_basis
 
     def counted_pencil(F):
@@ -196,8 +200,23 @@ def test_a_census_chunk_reads_g_f_off_the_sketch_mod_p(monkeypatch):
             return fn(*args)
         return wrapper
 
+    modular = algebra._modular_pencil_basis
+
+    def counted_modular(F, powers, echelon):
+        basis = modular(F, powers, echelon)
+        accepted.append(basis is not None)
+        return basis
+
+    builders, init = [], linalg.PivotBasis.__init__
+
+    def counted_init(basis, *args, **kwargs):
+        builders.append(sys._getframe(1).f_code.co_name)
+        init(basis, *args, **kwargs)
+
     monkeypatch.setattr(algebra, "_pencil_basis", counted_pencil)
-    for name in ("solve_matrix", "integer_nullspace"):
+    monkeypatch.setattr(algebra, "_modular_pencil_basis", counted_modular)
+    monkeypatch.setattr(linalg.PivotBasis, "__init__", counted_init)
+    for name in ("solve_matrix", "integer_nullspace", "_exact_pencil_basis"):
         monkeypatch.setattr(algebra, name, exact_inside_pencil(name, getattr(algebra, name)))
     kernel = vars(forms.SymForm)["jacobian_kernel"]
     counted_kernel = functools.cached_property(counting(counts, "kernel", kernel.func))
@@ -217,6 +236,14 @@ def test_a_census_chunk_reads_g_f_off_the_sketch_mod_p(monkeypatch):
     assert len(certified) == len(kernels) == 20 and all(certified)
     assert counts["solve_matrix"] == counts["integer_nullspace"] == 0
     assert kernels == [0] * 20
+    # every basis past the rank n - 1 shortcut reconstructs mod P
+    assert accepted and all(accepted) and counts["_exact_pencil_basis"] == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert Counter(builders) == {
+        "_trace_form_radical": sum(r["dim_unipotent"] > 0 for r in records),
+        "register": sum(r["square_zero_count"] for r in records),
+    }
+    assert all(Counter(builders).values())
 
 
 def test_a_census_chunk_builds_no_span_and_reads_each_table_once(monkeypatch):
