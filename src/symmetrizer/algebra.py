@@ -137,9 +137,9 @@ from .linalg import (
     InvariantError,
     Matrix,
     PivotBasis,
-    Span,
     Vec,
     integer_nullspace,
+    integer_row,
     is_invertible,
     jordan_chevalley,
     kernel_mod_p,
@@ -571,8 +571,8 @@ def kernel_image_vanishing(F: SymForm, h: Matrix) -> bool:
     witness = symmetry_violation(F, h)
     if witness is not None:
         raise NotASymmetrizerError(*witness)
-    image = Span(h.transpose().ints, F.nvars).basis
-    return pairings_vanish(F, image, [v for _, v in integer_nullspace(h).basis])
+    # the pairing is bilinear, so h's columns, which span Im(h), suffice
+    return pairings_vanish(F, h.transpose().ints, [v for _, v in integer_nullspace(h).basis])
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +914,9 @@ def fiber_invariance_check(
     kernel_F = jacobian_kernel(F)
     if kernel_F:
         ginv = g.inverse()
-        transported = [ginv.apply(v) for v in kernel_F]
-        kernel_match = Span(transported, n) == Span(jacobian_kernel(Fg), n)
+        transported = [integer_row(ginv.apply(v))[1] for v in kernel_F]
+        target = [integer_row(v)[1] for v in jacobian_kernel(Fg)]
+        kernel_match = PivotBasis(transported, n).basis == PivotBasis(target, n).basis
         return FiberInvarianceReport(algebra_match, kernel_match, None)
     # Ker(∂F) = 0 is transported onto Ker(∂F^g) iff that is 0 too
     kernel_match = not jacobian_kernel(Fg)
@@ -1035,11 +1036,10 @@ def check_identities(
         # dim_total - dim_unipotent = 1 + dim_torus, and the nilpotent
         # parts span the trace-form radical, computed independently
         nn = F.nvars**2
-        torus = Span([S.flat_ints() for S in A.semisimple_parts], nn)
-        unipotent = Span([N.flat_ints() for N in A.nilpotent_parts], nn)
+        torus = PivotBasis([S.flat_ints() for S in A.semisimple_parts], nn)
+        unipotent = PivotBasis([N.flat_ints() for N in A.nilpotent_parts], nn)
         out["split_additivity"] = _passfail(
-            torus.dim == 1 + A.dim_torus
-            and unipotent == Span([u.flat_ints() for u in A.unipotent_basis], nn),
+            len(torus.pivots) == 1 + A.dim_torus and unipotent.basis == A._radical.basis,
             f"dims ({A.dim_total}, {A.dim_torus}, {A.dim_unipotent})",
         )
         # `_split` has already proved each nilpotent part nilpotent
@@ -1190,7 +1190,7 @@ def _block_algebra_sum_check(
     n = F.nvars
     B = dec.change_of_basis()
     Binv = B.inverse()
-    conjugated = Span([(Binv * g * B).flat_ints() for g in A.basis], n * n)
+    conjugated = PivotBasis([(Binv * g * B).flat_ints() for g in A.basis], n * n)
 
     embedded = []
     off = 0
@@ -1201,5 +1201,5 @@ def _block_algebra_sum_check(
         sub = symmetrizer_algebra(blk.form)
         embedded += [(E * m * E.transpose()).flat_ints() for m in sub.basis]
         off += dim
-    ok = conjugated == Span(embedded, n * n)
+    ok = conjugated.basis == PivotBasis(embedded, n * n).basis
     return _passfail(ok, "block algebras do not sum to the whole algebra")

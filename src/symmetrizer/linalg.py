@@ -18,7 +18,7 @@ order at most rank+1, Bareiss's bound. `PivotBasis` keeps its rows
 primitive with a positive pivot: the one such multiple of an rref row,
 so equal spans have equal rows. Each row is then den at its own pivot
 and 0 at the others', which decides membership without elimination
-(see `PivotBasis`); `Span` is the same basis over rational vectors.
+(see `PivotBasis`), the one canonical basis the engine compares.
 `minimal_polynomial` reduces the Krylov rows den·[flat(A^k) | e_k], den
 the denominator of A^k, so each tail counts multiples of A^k itself and
 a row whose matrix part reduces to zero holds the relation in its tail.
@@ -54,13 +54,9 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polys import P, Poly, squarefree_part, squarefree_mod_p
+from .polys import P, InvariantError, Poly, squarefree_part, squarefree_mod_p
 
 Vec = tuple[Fraction, ...]
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed. Always a bug, never bad input."""
 
 
 def vector(entries: Iterable) -> Vec:
@@ -334,22 +330,15 @@ def rational_row_mod_p(row: Sequence[int]) -> tuple[int, list[int]] | None:
 
 def solve_mod_p(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]] | None:
     """A⁻¹B mod P for a square integer A and an integer B with as many
-    rows, or None when A is singular mod P. A pivot in every column is
-    `rank_mod_p`'s certificate that A is invertible over the rationals."""
+    rows, read off `rref_mod_p` of [A | B]; None when A is singular mod P,
+    which leaves a column of A without a pivot. A pivot in every column of
+    A is `rank_mod_p`'s certificate that A is invertible over the rationals."""
     n = len(A)
-    rows = [[x % P for x in chain(a, b)] for a, b in zip(A, B)]
-    for c in range(n):
-        sel = next((i for i in range(c, n) if rows[i][c]), None)
-        if sel is None:
-            return None
-        rows[c], rows[sel] = rows[sel], rows[c]
-        inv = pow(rows[c][c], -1, P)
-        prow = rows[c] = [x * inv % P for x in rows[c]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != c:
-                rows[i] = [(x - f * y) % P for x, y in zip(row, prow)]
-    return [r[n:] for r in rows]
+    rows = [list(chain(a, b)) for a, b in zip(A, B)]
+    echelon = rref_mod_p(rows, len(rows[0]) if rows else 0)
+    if [c for c, _ in echelon] != list(range(n)):
+        return None
+    return [row[n:] for _, row in echelon]
 
 
 def is_invertible(M: Matrix) -> bool:
@@ -534,39 +523,13 @@ def solve(M: Matrix, b: Vec) -> Vec | None:
     return None if x is None else x.column(0)
 
 
-class Span:
-    """The span of a family of rational vectors of width ncols, held by
-    its canonical rref basis (`PivotBasis`, see the module docstring)."""
-
-    def __init__(self, vectors: Sequence[Sequence], ncols: int):
-        if any(len(u) != ncols for u in vectors):
-            raise ValueError("ragged rows")
-        self.ncols = ncols
-        self._canonical = PivotBasis([integer_row(v)[1] for v in vectors], ncols)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Span) and (self.ncols, self._canonical.basis) == (
-            other.ncols, other._canonical.basis
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self._canonical.pivots)
-
-    @property
-    def basis(self) -> list[Vec]:
-        """The nonzero rref rows, as Fractions: the canonical basis."""
-        return [tuple(Fraction(x, den) for x in row) for den, row in self._canonical.basis]
-
-    def contains(self, v: Sequence) -> bool:
-        """Whether v (rational or integer entries) lies in the span."""
-        if len(v) != self.ncols:
-            raise ValueError("ragged rows")
-        return self._canonical.coordinates(integer_row(v)[1]) is not None
-
-
 def span_contains(vectors: Sequence[Vec], v: Vec) -> bool:
-    return Span(vectors, len(v)).contains(v)
+    """Whether v lies in the span of the vectors (rational or integer
+    entries, each as wide as v), read off their `PivotBasis`."""
+    if any(len(u) != len(v) for u in vectors):
+        raise ValueError("ragged rows")
+    basis = PivotBasis([integer_row(u)[1] for u in vectors], len(v))
+    return basis.coordinates(integer_row(v)[1]) is not None
 
 
 def minimal_polynomial(A: Matrix) -> Poly:

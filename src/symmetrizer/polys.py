@@ -34,6 +34,10 @@ from typing import Iterable, Iterator
 P = 2**30 - 35
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed. Always a bug, never bad input."""
+
+
 @dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial, coefficients ascending, no trailing zeros.
@@ -362,7 +366,7 @@ def _mp_equal_degree(g: list[int], d: int, p: int) -> list[list[int]]:
                 continue
         rest = _mp_divmod_monic(g, h, p)[0]
         return _mp_equal_degree(h, d, p) + _mp_equal_degree(rest, d, p)
-    raise AssertionError("equal-degree splitting exhausted its candidates")
+    raise InvariantError("equal-degree splitting exhausted its candidates")
 
 
 def _mp_factor(f: list[int], p: int) -> list[list[int]]:
@@ -549,5 +553,5 @@ def factor_rational(p: Poly) -> list[tuple[Poly, int]]:
     for q, m in result:
         check = check * q**m
     if check != p:
-        raise AssertionError("factorization failed to reproduce its input")
+        raise InvariantError("factorization failed to reproduce its input")
     return result

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MUTATION_FORMS, off_by_one_twist
-from symmetrizer import algebra, cli, corpus, forms
+from symmetrizer import algebra, cli, corpus, forms, polys
 from symmetrizer.algebra import constraint_matrix
 from symmetrizer.forms import MAX_CELLS, cost_estimate
 from symmetrizer.polytext import parse_poly
@@ -133,6 +133,16 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.startswith("input error:")
+
+    def test_a_factorization_that_drops_a_factor_exits_5(self, capsys, monkeypatch):
+        # factor_rational's reproduce check is an engine invariant, not an
+        # assertion: the command ends in the documented exit code
+        factor = polys._factor_squarefree
+        monkeypatch.setattr(polys, "_factor_squarefree", lambda p: factor(p)[1:])
+        code, out, err = run(capsys, "analyze", "x0^3+x1^3+x2^3")
+        assert code == 5
+        assert out == ""
+        assert err == "internal invariant violated: factorization failed to reproduce its input\n"
 
 
 class TestRecover:

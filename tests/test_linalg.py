@@ -13,7 +13,6 @@ from symmetrizer.linalg import (
     InvariantError,
     Matrix,
     PivotBasis,
-    Span,
     integer_nullspace,
     integer_row,
     is_invertible,
@@ -276,12 +275,22 @@ class TestEchelon:
             M([1, 2], [2, 4]).inverse()
 
 
+def span_of(vectors, width: int) -> PivotBasis:
+    """The `PivotBasis` of rational rows, over their integer multiples."""
+    return PivotBasis([integer_row(v)[1] for v in vectors], width)
+
+
+def fraction_rows(span: PivotBasis) -> list[tuple]:
+    """The basis rows as Fractions: the nonzero rref rows."""
+    return [tuple(Q(x, den) for x in row) for den, row in span.basis]
+
+
 class TestSpans:
     def test_equal_under_row_operations(self):
         a = [vector([1, 0, 1]), vector([0, 1, 0])]
         b = [vector([1, 1, 1]), vector([2, -1, 2])]
-        assert Span(a, 3) == Span(b, 3)
-        assert Span(a, 3) != Span([vector([1, 0, 0])], 3)
+        assert span_of(a, 3).basis == span_of(b, 3).basis
+        assert span_of(a, 3).basis != span_of([vector([1, 0, 0])], 3).basis
 
     def test_span_contains(self):
         basis = [vector([1, 0]), vector([1, 1])]
@@ -289,17 +298,19 @@ class TestSpans:
         assert not span_contains([vector([1, 0])], vector([0, 1]))
 
     def test_basis_is_the_rref(self):
-        span = Span([vector([2, 4, 6]), vector([1, 1, 1]), vector([3, 5, 7])], 3)
-        assert span.basis == [vector([1, 0, -1]), vector([0, 1, 2])]
+        span = span_of([vector([2, 4, 6]), vector([1, 1, 1]), vector([3, 5, 7])], 3)
+        assert fraction_rows(span) == [vector([1, 0, -1]), vector([0, 1, 2])]
+        assert span.pivots == [0, 1]
 
     def test_negative_pivots_and_zero_rows(self):
-        assert Span([vector([-2, 4]), vector([0, 0])], 2) == Span([vector([1, -2])], 2)
-        assert Span([vector([0, -3, Q(1, 2)])], 3).basis == [vector([0, 1, Q(-1, 6)])]
+        assert span_of([vector([-2, 4]), vector([0, 0])], 2).basis == span_of([vector([1, -2])], 2).basis
+        assert fraction_rows(span_of([vector([0, -3, Q(1, 2)])], 3)) == [vector([0, 1, Q(-1, 6)])]
 
     def test_empty_span(self):
-        assert Span([], 4) == Span([vector([0, 0, 0, 0])], 4)
-        assert Span([], 4) != Span([], 3)
-        assert Span([], 4).basis == []
+        empty = span_of([], 4)
+        assert empty.basis == span_of([vector([0, 0, 0, 0])], 4).basis == []
+        assert empty.pivots == [] and empty.coordinates([0, 0, 0, 0]) == []
+        assert empty.coordinates([0, 0, 0, 1]) is None
         assert not span_contains([], vector([1]))
 
 
@@ -327,23 +338,23 @@ def span_pairs(draw):
 
 
 class TestSpanMatchesOracles:
-    """Span against Fraction Gauss-Jordan: equality and the canonical
-    basis, on empty families, zero rows and negative pivots."""
+    """`PivotBasis` of rational rows against Fraction Gauss-Jordan: equal
+    bases exactly for equal spans, and the canonical basis, on empty
+    families, zero rows and negative pivots."""
 
     @given(span_pairs())
     @settings(deadline=None, max_examples=300)
     def test_equal_exactly_when_the_rrefs_agree(self, pair):
         a, b, width = pair
         same = oracle_row_space(a, width) == oracle_row_space(b, width)
-        assert (Span(a, width) == Span(b, width)) == same
-        assert (Span(a, width) != Span(b, width)) == (not same)
+        assert (span_of(a, width).basis == span_of(b, width).basis) == same
 
     @given(rational_matrices())
     @settings(deadline=None, max_examples=200)
     def test_basis_is_the_oracle_rref(self, A):
-        span = Span(A.rows, A.ncols)
-        assert span.basis == oracle_row_space(A.rows, A.ncols)
-        assert span.dim == len(span.basis)
+        span = span_of(A.rows, A.ncols)
+        assert fraction_rows(span) == oracle_row_space(A.rows, A.ncols)
+        assert len(span.pivots) == len(span.basis)
 
 
 class TestPivotBasis:
@@ -793,8 +804,8 @@ def int_rows(A: Matrix) -> list[list[int]]:
 
 
 class TestModularCertificates:
-    """rank_mod_p bounds the rank from below; is_invertible and Span are
-    exact whatever the residues mod P."""
+    """rank_mod_p bounds the rank from below; is_invertible and PivotBasis
+    are exact whatever the residues mod P."""
 
     @given(st.one_of(rational_matrices(), modular_matrices()))
     @settings(deadline=None, max_examples=200)
@@ -884,19 +895,20 @@ class TestModularCertificates:
     def test_span_matches_oracle(self, data):
         width = data.draw(st.integers(1, 6))
         vectors = data.draw(rational_matrices(ncols=width)).rows
-        span = Span(vectors, width)
-        assert span.dim == oracle_rref(Matrix.from_rows(vectors, width))[2]
+        span = span_of(vectors, width)
+        assert len(span.pivots) == oracle_rref(Matrix.from_rows(vectors, width))[2]
         for _ in range(3):
             v = data.draw(rational_matrices(nrows=1, ncols=width)).rows[0]
-            assert span.contains(v) == oracle_span_contains(vectors, v)
+            member = oracle_span_contains(vectors, v)
             # membership is scale-invariant, so integer rows test the same
-            assert span.contains(integer_row(v)[1]) == span.contains(v)
+            assert (span.coordinates(integer_row(v)[1]) is not None) == member
+            assert span_contains(vectors, v) == span_contains(vectors, integer_row(v)[1]) == member
         for u in vectors:
-            assert span.contains(u)
+            assert span.coordinates(integer_row(u)[1]) is not None
 
     def test_span_widths(self):
-        assert Span([], 2).dim == 0 and Span([], 2).contains((0, 0))
+        assert span_of([], 2).pivots == [] and span_contains([], (0, 0))
         with pytest.raises(ValueError):
-            Span([vector([1, 0])], 3)
+            span_contains([vector([1, 0])], vector([1, 0, 0]))
         with pytest.raises(ValueError):
-            Span([vector([1, 0])], 2).contains(vector([1, 0, 0]))
+            span_contains([vector([1, 0]), vector([1])], vector([1, 0]))

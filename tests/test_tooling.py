@@ -3,7 +3,7 @@ exists on the engine, a census proves each nilpotency once, a census
 and `analyze` build the n²-wide constraint system only when a pencil
 certificate fails, a certified census reads g_F off the sketch mod P
 with no exact solve, null space or kernel of ∂F and eliminates no basis
-a route handed over, builds no `Span`, one
+a route handed over, eliminates nothing for membership or coordinates, one
 Hessian table per form and one pass of slice sums per certified form,
 transport twists
 nothing and inverts one pivot block per source form, fiber membership
@@ -248,15 +248,43 @@ def test_a_census_chunk_reads_g_f_off_the_sketch_mod_p(monkeypatch):
 
 def test_a_census_chunk_builds_no_span_and_reads_each_table_once(monkeypatch):
     """Over the 20-spec census chunk of the golden cases, membership and
-    coordinates are read off canonical bases, so no `Span` is built; each
-    form builds its Hessian table once, and `_pencil_certificates` reads
-    H, H′ and the sketch's slices in one `_slice_sums` per certified form."""
+    coordinates are read off canonical bases: `A.contains` and
+    `PivotBasis.coordinates` eliminate nothing, and the only spans
+    eliminated are the trace-form radicals and the square-zero images;
+    each form builds its Hessian table once, and `_pencil_certificates`
+    reads H, H′ and the sketch's slices in one `_slice_sums` per
+    certified form."""
     stdin = next(c["stdin"] for c in GOLDEN_CASES if c["argv"] == ["census", "-"])
-    spans, tables, sums, certified = [], [], [], []
-    init = linalg.Span.__init__
-    monkeypatch.setattr(
-        linalg.Span, "__init__", lambda span, *args: spans.append(args) or init(span, *args)
-    )
+    tables, sums, certified = [], [], []
+    builders, init = [], linalg.PivotBasis.__init__
+
+    def counted_init(basis, vectors, ncols, **kwargs):
+        # a square-zero image is spanned by the n columns of h, n wide
+        builders.append((sys._getframe(1).f_code.co_name, len(vectors) == ncols))
+        init(basis, vectors, ncols, **kwargs)
+
+    reads, depth, eliminations = Counter(), [0], []
+
+    def reading(name, fn):
+        def wrapper(*args):
+            reads[name] += 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    echelon = linalg._echelon
+
+    def counted_echelon(*args):
+        eliminations.append(depth[0])
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg.PivotBasis, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    for owner, name in ((algebra.SymmetrizerAlgebra, "contains"), (linalg.PivotBasis, "coordinates")):
+        monkeypatch.setattr(owner, name, reading(name, getattr(owner, name)))
     table = vars(forms.SymForm)["hessian_table"]
 
     def counted_table(form):
@@ -282,7 +310,10 @@ def test_a_census_chunk_builds_no_span_and_reads_each_table_once(monkeypatch):
     monkeypatch.setattr(algebra, "_pencil_certificates", counted_certificates)
     code, out, _ = invoke(["census", "-"], stdin)
     assert code == 0 and len(out.splitlines()) == 20
-    assert spans == []
+    assert reads["contains"] >= 20 and reads["coordinates"] > reads["contains"]
+    assert eliminations and not any(eliminations)
+    assert {name for name, _ in builders} == {"_trace_form_radical", "register"}
+    assert all(square for name, square in builders if name == "register")
     # the lists hold every form, so no two of them share an id
     assert len(set(map(id, tables))) == len(tables)
     assert len(certified) == 20
